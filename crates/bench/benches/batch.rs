@@ -8,8 +8,8 @@
 //! * `estimate-batch` — per-query `try_estimate` vs one
 //!   `estimate_batch` (one featurize pass, one model forward);
 //! * `serve-batch` — `EstimatorService::estimate_within` per query
-//!   (admission, deadline bookkeeping, and a watchdog thread per stage
-//!   call) vs `estimate_batch_within` (all of that once per batch).
+//!   (admission, deadline bookkeeping, and a runner-thread hand-off per
+//!   stage call) vs `estimate_batch_within` (all of that once per batch).
 //!
 //! The committed throughput record lives in `BENCH_batch.json`,
 //! produced by the `bench_batch` binary; this bench is the precise

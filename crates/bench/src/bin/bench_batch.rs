@@ -117,7 +117,7 @@ fn main() {
     };
 
     // Layer 3: the serving front end — one admission + deadline walk +
-    // watchdog per query vs one per batch.
+    // runner hand-off per query vs one per batch.
     let svc = EstimatorService::new(
         vec![Arc::new(est) as SharedEstimator],
         ServiceConfig::default(),
@@ -139,11 +139,6 @@ fn main() {
             std::hint::black_box(rows);
         }),
     };
-
-    // The serve layer spawned one watchdog thread per deadline-bounded
-    // call; drop the service before timing the compiled pipeline so no
-    // straggler competes for the core on single-CPU runners.
-    drop(svc);
 
     // Layer 2b: compiled inference inside the estimator segment — the
     // full reference pipeline (f32 arena → enum-tree walk → inverse

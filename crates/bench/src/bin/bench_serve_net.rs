@@ -21,7 +21,7 @@
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use qfe_bench::Scale;
 use qfe_core::predicate::{CmpOp, CompoundPredicate, PredicateExpr};
@@ -151,10 +151,7 @@ fn main() {
                 vec![Arc::new(PostgresEstimator::analyze_default(&db))],
                 ShardConfig {
                     quota: 64,
-                    service: ServiceConfig {
-                        max_batch_wait: Duration::from_micros(200),
-                        ..ServiceConfig::default()
-                    },
+                    service: ServiceConfig::default(),
                 },
             ))
             .expect("register tenant shard");

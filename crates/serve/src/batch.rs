@@ -4,13 +4,14 @@
 //! [`EstimatorService::estimate_batch`] themselves — somebody has to
 //! collect the batch. The [`MicroBatcher`] is that somebody: `submit`
 //! parks the caller on a completion slot while a small worker pool
-//! (`cfg.workers`) drains the submission queue, coalescing up to
-//! `cfg.max_batch_size` requests — waiting at most `cfg.max_batch_wait`
-//! for the batch to fill — into one batched service call, then completes
-//! each waiter individually. Under load, batches fill instantly and the
-//! learned stage amortizes one featurize-and-forward across the whole
-//! batch; when idle, a lone request waits at most `max_batch_wait`
-//! before being dispatched as a batch of one.
+//! (`cfg.workers`) drains the submission queue. Batching is
+//! opportunistic: a worker that pops a request also takes whatever else
+//! is already queued, up to `cfg.max_batch_size`, and dispatches at once
+//! as one batched service call, then completes each waiter individually.
+//! It never waits for a batch to fill. When idle, a lone request goes out
+//! as a batch of one without delay; under load, requests pile up while
+//! every worker is busy, so the next drain takes them all and the learned
+//! stage amortizes one featurize-and-forward across the whole batch.
 //!
 //! Deadline semantics: the dispatched batch runs under the *tightest*
 //! member deadline (minimum remaining budget), so no member's budget is
@@ -29,7 +30,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use qfe_core::estimator::Estimate;
 use qfe_core::{Deadline, Query};
@@ -118,7 +118,6 @@ impl MicroBatcher {
         let pool_width = qfe_core::parallel::current().threads();
         let workers_n = cfg.workers.max(1).min(pool_width.max(1));
         let max_batch = cfg.max_batch_size.max(1);
-        let max_wait = cfg.max_batch_wait;
         let capacity = cfg.queue_capacity.max(max_batch);
         let shared = Arc::new(Shared {
             state: Mutex::new(BatcherState {
@@ -137,7 +136,7 @@ impl MicroBatcher {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("qfe-serve-batcher-{i}"))
-                    .spawn(move || worker_loop(&svc, &shared, max_batch, max_wait))
+                    .spawn(move || worker_loop(&svc, &shared, max_batch))
                     .ok()
             })
             .collect::<Vec<_>>();
@@ -239,25 +238,24 @@ impl Drop for MicroBatcher {
     }
 }
 
-/// One worker: block for a first request, coalesce a batch, withdraw
-/// expired members, dispatch the rest under the tightest member
-/// deadline, and complete every waiter individually.
-fn worker_loop(
-    svc: &Arc<EstimatorService>,
-    shared: &Arc<Shared>,
-    max_batch: usize,
-    max_wait: Duration,
-) {
+/// One worker: block until the queue is non-empty, take everything
+/// queued (up to `max_batch`), withdraw expired members, dispatch the
+/// rest under the tightest member deadline, and complete every waiter
+/// individually.
+fn worker_loop(svc: &Arc<EstimatorService>, shared: &Arc<Shared>, max_batch: usize) {
     loop {
-        // Phase 1: wait for the first member (or shutdown + empty queue).
-        let first = {
+        // Phase 1: take what is queued (or exit on shutdown + empty
+        // queue). There is no fill wait: a batch is whatever piled up
+        // while the workers were busy.
+        let batch: Vec<BatchRequest> = {
             let mut st = shared.lock();
             loop {
-                if let Some(req) = st.waiting.pop_front() {
-                    break Some(req);
+                if !st.waiting.is_empty() {
+                    let n = st.waiting.len().min(max_batch);
+                    break st.waiting.drain(..n).collect();
                 }
                 if st.shutdown {
-                    break None;
+                    return;
                 }
                 st = match shared.cv.wait(st) {
                     Ok(g) => g,
@@ -265,39 +263,7 @@ fn worker_loop(
                 };
             }
         };
-        let Some(first) = first else {
-            return;
-        };
-        // Phase 2: coalesce up to `max_batch` members, waiting at most
-        // `max_wait` past the first for the batch to fill.
-        let mut batch = vec![first];
-        let fill_deadline = Instant::now() + max_wait;
-        while batch.len() < max_batch {
-            let mut st = shared.lock();
-            while batch.len() < max_batch {
-                match st.waiting.pop_front() {
-                    Some(req) => batch.push(req),
-                    None => break,
-                }
-            }
-            if batch.len() >= max_batch || st.shutdown {
-                break;
-            }
-            let now = Instant::now();
-            if now >= fill_deadline {
-                break;
-            }
-            let (g, timeout) = match shared.cv.wait_timeout(st, fill_deadline - now) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            drop(g);
-            if timeout.timed_out() {
-                // One last drain attempt happens at the top of the loop.
-                continue;
-            }
-        }
-        // Phase 3: withdraw members whose budget died in the queue —
+        // Phase 2: withdraw members whose budget died in the queue —
         // dispatching them would only burn the batch's budget on rows
         // that can no longer be answered in time.
         let mut live = Vec::with_capacity(batch.len());
@@ -318,7 +284,7 @@ fn worker_loop(
         if live.is_empty() {
             continue;
         }
-        // Phase 4: dispatch under the tightest member deadline and
+        // Phase 3: dispatch under the tightest member deadline and
         // complete each waiter with its own row result.
         let mut batch_deadline = live[0].deadline;
         for req in &live[1..] {
@@ -352,6 +318,7 @@ mod tests {
     use crate::ServiceConfig;
     use qfe_core::estimator::CardinalityEstimator;
     use qfe_core::TableId;
+    use std::time::Duration;
 
     struct Constant(f64);
     impl CardinalityEstimator for Constant {
@@ -390,7 +357,6 @@ mod tests {
         let svc = service(ServiceConfig {
             workers: 2,
             max_batch_size: 8,
-            max_batch_wait: Duration::from_millis(5),
             // Room for every submitter: this test is about coalescing,
             // not shedding.
             queue_capacity: 64,
@@ -507,7 +473,6 @@ mod tests {
         let svc = service(ServiceConfig {
             workers: 1,
             max_batch_size: 4,
-            max_batch_wait: Duration::from_millis(20),
             ..ServiceConfig::default()
         });
         let batcher = Arc::new(MicroBatcher::new(Arc::clone(&svc)));
@@ -531,7 +496,6 @@ mod tests {
         let svc = service(ServiceConfig {
             workers: 1,
             max_batch_size: 64,
-            max_batch_wait: Duration::from_millis(1),
             ..ServiceConfig::default()
         });
         let batcher = MicroBatcher::new(Arc::clone(&svc));
@@ -539,5 +503,86 @@ mod tests {
         assert_eq!(e.value, 42.0);
         assert_eq!(batcher.stats().dispatched, 1);
         assert_eq!(batcher.service().stats().batch_drains, 1);
+    }
+
+    /// Holds every stage call until opened, counting the calls inside.
+    #[derive(Default)]
+    struct Gate {
+        /// (open, calls entered)
+        state: Mutex<(bool, usize)>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn wait_entered(&self, n: usize) {
+            let mut st = self.state.lock().unwrap();
+            while st.1 < n {
+                st = self.cv.wait(st).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().0 = true;
+            self.cv.notify_all();
+        }
+    }
+
+    struct Gated(Arc<Gate>);
+    impl CardinalityEstimator for Gated {
+        fn name(&self) -> String {
+            "gated".into()
+        }
+        fn estimate(&self, _q: &Query) -> f64 {
+            let mut st = self.0.state.lock().unwrap();
+            st.1 += 1;
+            self.0.cv.notify_all();
+            while !st.0 {
+                st = self.0.cv.wait(st).unwrap();
+            }
+            42.0
+        }
+    }
+
+    #[test]
+    fn requests_queued_behind_a_busy_worker_drain_as_one_batch() {
+        const K: usize = 6;
+        let gate = Arc::new(Gate::default());
+        let svc = Arc::new(EstimatorService::new(
+            vec![Arc::new(Gated(Arc::clone(&gate)))],
+            ServiceConfig {
+                workers: 1,
+                max_batch_size: 32,
+                queue_capacity: 32,
+                default_budget: Duration::from_secs(30),
+                ..ServiceConfig::default()
+            },
+        ));
+        let batcher = Arc::new(MicroBatcher::new(Arc::clone(&svc)));
+        let submit = || {
+            let b = Arc::clone(&batcher);
+            std::thread::spawn(move || b.submit(&q()))
+        };
+        // The single worker dispatches the first request alone and is held
+        // inside the stage by the gate.
+        let mut handles = vec![submit()];
+        gate.wait_entered(1);
+        // K more pile up in the queue behind it.
+        handles.extend((0..K).map(|_| submit()));
+        while batcher.stats().queued < K {
+            std::thread::yield_now();
+        }
+        gate.open();
+        for h in handles {
+            assert_eq!(h.join().unwrap().unwrap().value, 42.0);
+        }
+        // Two drains: the lone first request, then all K at once.
+        let m = svc.metrics();
+        let sizes = m
+            .histogram(crate::service::BATCH_SIZE_METRIC)
+            .expect("batch size histogram");
+        assert_eq!(
+            (sizes.count, sizes.sum_nanos, sizes.max_nanos),
+            (2, 1 + K as u64, K as u64)
+        );
     }
 }

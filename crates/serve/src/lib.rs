@@ -12,7 +12,8 @@
 //! - **deadlines** ([`qfe_core::Deadline`]) — the per-request budget rides
 //!   through the stage loop; slow stages are abandoned and the remaining
 //!   budget flows to the fallbacks;
-//! - **panic isolation** — every stage call is wrapped in `catch_unwind`;
+//! - **panic isolation** — every stage call is wrapped in `catch_unwind`,
+//!   bounded calls on reused runner threads ([`runner`]);
 //! - **circuit breaking** ([`qfe_estimators::breaker`]) — chronically
 //!   failing stages are skipped and probed back in;
 //! - **validated hot swap** ([`slot::ModelSlot`]) — retrained models are
@@ -56,6 +57,7 @@ pub mod error;
 pub mod net;
 pub mod persist;
 pub mod proto;
+pub mod runner;
 pub mod service;
 pub mod shard;
 pub mod slot;
@@ -70,6 +72,7 @@ pub use error::{FeedbackError, OverloadKind, ServeError, ShedPolicy};
 pub use net::{NetConfig, NetServer, NetStats};
 pub use persist::{AsyncCheckpointer, RestoreOutcome, WarmRestartReport};
 pub use proto::{read_frame, write_frame, ErrCode, Frame, ProtoError, ReadError};
+pub use runner::{stage_runner_stats, RunnerStats};
 pub use service::{
     EstimatorService, ServiceConfig, ServiceStats, StageServiceStats, BATCH_SIZE_METRIC,
     REQUEST_LATENCY_METRIC,

@@ -14,7 +14,8 @@
 //!    stage is abandoned mid-chain and the leftover budget flows to the
 //!    cheap fallbacks instead of dying with the stall.
 //! 3. **Panic isolation**: every stage call runs under `catch_unwind`
-//!    (on a watchdog thread when a real budget applies); a panicking model
+//!    (on a reused runner thread from [`crate::runner`] when a real budget
+//!    applies, so a stalled call can be abandoned); a panicking model
 //!    becomes a per-stage failure that falls through — it never crosses
 //!    the service boundary and never poisons another request.
 //! 4. **Circuit breaking** ([`qfe_estimators::breaker`]): consecutive
@@ -29,7 +30,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use qfe_core::error::EstimateErrorKind;
@@ -41,6 +42,7 @@ use qfe_obs::{MetricsRecorder, MetricsSnapshot, QErrorWindow, Recorder};
 use crate::adapt::FeedbackSink;
 use crate::admission::{AdmissionQueue, AdmissionStats};
 use crate::error::{FeedbackError, ServeError, ShedPolicy};
+use crate::runner::{self, RunOutcome};
 use crate::slot::SharedEstimator;
 
 /// Truths above this are treated as corrupted upstream counters (no real
@@ -77,9 +79,6 @@ pub struct ServiceConfig {
     /// Most requests a micro-batch worker coalesces into one batched
     /// dispatch (clamped to `>= 1`).
     pub max_batch_size: usize,
-    /// How long a draining worker waits for more requests before
-    /// dispatching a partial batch.
-    pub max_batch_wait: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -94,7 +93,6 @@ impl Default for ServiceConfig {
             qerror_window: 1024,
             workers: 2,
             max_batch_size: 32,
-            max_batch_wait: Duration::from_millis(1),
         }
     }
 }
@@ -109,35 +107,8 @@ pub const REQUEST_LATENCY_METRIC: &str = "serve.request.latency";
 pub const BATCH_SIZE_METRIC: &str = "serve.batch.size";
 
 /// Budgets at or above this are treated as "no real deadline": the stage
-/// runs inline (still panic-isolated) instead of on a watchdog thread.
+/// runs inline (still panic-isolated) instead of on a runner thread.
 const INLINE_BUDGET: Duration = Duration::from_secs(60 * 60);
-
-/// How one stage call ended, from the service's point of view.
-enum Outcome {
-    /// A valid (finite, `>= 1`) estimate.
-    Answer(f64),
-    /// A typed failure (including an `Ok` wrapping an illegal value,
-    /// which the service converts to `NonFinite`).
-    Fail(EstimateErrorKind),
-    /// The stage did not answer within its share of the budget and was
-    /// abandoned (the call may still be running on its watchdog thread).
-    Timeout,
-    /// The stage panicked; the panic was contained.
-    Panicked,
-}
-
-/// How one *batched* stage call ended. Mirrors [`Outcome`] with per-row
-/// results in the success case.
-enum BatchOutcome {
-    /// The stage returned; rows classify individually.
-    Rows(Vec<Result<Estimate, qfe_core::EstimateError>>),
-    /// The whole batched call was abandoned on its budget share.
-    Timeout,
-    /// The stage panicked mid-batch; every pending row falls through.
-    Panicked,
-    /// The watchdog thread could not be spawned (resource exhaustion).
-    SpawnFailed,
-}
 
 struct StageSlot {
     est: SharedEstimator,
@@ -392,13 +363,13 @@ impl EstimatorService {
             let share = deadline.remaining() / stages_left;
             let sub: Vec<Query> = pending.iter().map(|&i| queries[i].clone()).collect();
             let stage_started = Instant::now();
-            let outcome = Self::run_stage_batch(stage, sub, share);
+            let outcome = Self::run_stage(stage, share, move |est| est.estimate_batch(&sub));
             let amortized = stage_started.elapsed() / pending.len() as u32;
             for _ in &pending {
                 self.recorder.record(&stage.latency_metric, amortized);
             }
             match outcome {
-                BatchOutcome::Rows(rows) => {
+                RunOutcome::Done(rows) => {
                     let mut still = Vec::with_capacity(pending.len());
                     let mut answered_any = false;
                     // `zip` also absorbs a contract-violating stage that
@@ -406,7 +377,7 @@ impl EstimatorService {
                     // pending and fall through.
                     for (&i, row) in pending.iter().zip(rows) {
                         match Self::classify(row) {
-                            Outcome::Answer(value) => {
+                            Ok(value) => {
                                 answered_any = true;
                                 stage.hits.fetch_add(1, Ordering::Relaxed);
                                 self.answered.fetch_add(1, Ordering::Relaxed);
@@ -416,12 +387,10 @@ impl EstimatorService {
                                     fallback_depth: depth,
                                 });
                             }
-                            Outcome::Fail(kind) => {
+                            Err(kind) => {
                                 stage.record_error(kind);
                                 still.push(i);
                             }
-                            // `classify` never produces these.
-                            Outcome::Timeout | Outcome::Panicked => still.push(i),
                         }
                     }
                     // Breaker at batch granularity: the invocation counts
@@ -436,24 +405,7 @@ impl EstimatorService {
                     }
                     pending = still;
                 }
-                BatchOutcome::Timeout => {
-                    stage.breaker.record_failure();
-                    stage
-                        .timeouts
-                        .fetch_add(pending.len() as u64, Ordering::Relaxed);
-                    stage.record_error_n(EstimateErrorKind::DeadlineExceeded, pending.len() as u64);
-                }
-                BatchOutcome::Panicked => {
-                    stage.breaker.record_failure();
-                    stage
-                        .panics
-                        .fetch_add(pending.len() as u64, Ordering::Relaxed);
-                    stage.record_error_n(EstimateErrorKind::Internal, pending.len() as u64);
-                }
-                BatchOutcome::SpawnFailed => {
-                    stage.breaker.record_failure();
-                    stage.record_error_n(EstimateErrorKind::Internal, pending.len() as u64);
-                }
+                lost => Self::record_lost_call(stage, lost, pending.len() as u64),
             }
         }
         let expired = deadline.expired();
@@ -497,34 +449,28 @@ impl EstimatorService {
             let stages_left = (self.stages.len() - depth) as u32;
             let share = deadline.remaining() / stages_left;
             let stage_started = Instant::now();
-            let outcome = Self::run_stage(stage, query, share);
+            let q = query.clone();
+            let outcome = Self::run_stage(stage, share, move |est| est.try_estimate(&q));
             self.recorder
                 .record(&stage.latency_metric, stage_started.elapsed());
             match outcome {
-                Outcome::Answer(value) => {
-                    stage.breaker.record_success();
-                    stage.hits.fetch_add(1, Ordering::Relaxed);
-                    self.answered.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Estimate {
-                        value,
-                        estimator: stage.name.clone(),
-                        fallback_depth: depth,
-                    });
-                }
-                Outcome::Fail(kind) => {
-                    stage.breaker.record_failure();
-                    stage.record_error(kind);
-                }
-                Outcome::Timeout => {
-                    stage.breaker.record_failure();
-                    stage.timeouts.fetch_add(1, Ordering::Relaxed);
-                    stage.record_error(EstimateErrorKind::DeadlineExceeded);
-                }
-                Outcome::Panicked => {
-                    stage.breaker.record_failure();
-                    stage.panics.fetch_add(1, Ordering::Relaxed);
-                    stage.record_error(EstimateErrorKind::Internal);
-                }
+                RunOutcome::Done(result) => match Self::classify(result) {
+                    Ok(value) => {
+                        stage.breaker.record_success();
+                        stage.hits.fetch_add(1, Ordering::Relaxed);
+                        self.answered.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Estimate {
+                            value,
+                            estimator: stage.name.clone(),
+                            fallback_depth: depth,
+                        });
+                    }
+                    Err(kind) => {
+                        stage.breaker.record_failure();
+                        stage.record_error(kind);
+                    }
+                },
+                lost => Self::record_lost_call(stage, lost, 1),
             }
         }
         if deadline.expired() {
@@ -551,88 +497,65 @@ impl EstimatorService {
         }
     }
 
-    /// One stage call, panic-isolated and bounded by `share`.
-    fn run_stage(stage: &StageSlot, query: &Query, share: Duration) -> Outcome {
+    /// One stage call (singleton or batched), panic-isolated and bounded
+    /// by `share`. A bounded call runs on a reused runner thread of the
+    /// process-wide [`runner`] pool; on timeout the runner is abandoned —
+    /// the call finishes (or panics) in the background and its result is
+    /// discarded. The breaker is what keeps a chronically slow stage from
+    /// stranding runners: after `failure_threshold` timeouts the stage
+    /// stops being invoked at all. A batched call shares one runner and
+    /// one timeout, so a stage that stalls mid-batch is abandoned
+    /// wholesale and every pending row falls through.
+    fn run_stage<T, F>(stage: &StageSlot, share: Duration, call: F) -> RunOutcome<T>
+    where
+        T: Send + 'static,
+        F: FnOnce(&SharedEstimator) -> T + Send + 'static,
+    {
         if share >= INLINE_BUDGET {
-            // No meaningful deadline: skip the watchdog thread, keep the
-            // panic isolation.
-            let caught = catch_unwind(AssertUnwindSafe(|| stage.est.try_estimate(query)));
-            return match caught {
-                Ok(result) => Self::classify(result),
-                Err(_) => Outcome::Panicked,
+            // No meaningful deadline: run inline, keep the panic isolation.
+            return match catch_unwind(AssertUnwindSafe(|| call(&stage.est))) {
+                Ok(value) => RunOutcome::Done(value),
+                Err(_) => RunOutcome::Panicked,
             };
         }
         if share.is_zero() {
-            return Outcome::Timeout;
-        }
-        // Watchdog pattern: the call runs on its own thread; we wait at
-        // most `share`. On timeout the thread is abandoned — it finishes
-        // (or panics) in the background and its result is discarded. The
-        // breaker is what keeps a chronically slow stage from accumulating
-        // abandoned threads: after `failure_threshold` timeouts the stage
-        // stops being invoked at all.
-        let est = SharedEstimator::clone(&stage.est);
-        let q = query.clone();
-        let (tx, rx) = mpsc::sync_channel(1);
-        let spawned = std::thread::Builder::new()
-            .name("qfe-serve-stage".into())
-            .spawn(move || {
-                let caught = catch_unwind(AssertUnwindSafe(|| est.try_estimate(&q)));
-                let _ = tx.send(caught);
-            });
-        if spawned.is_err() {
-            // Cannot even spawn (resource exhaustion): count it against
-            // the stage and fall through to cheaper fallbacks.
-            return Outcome::Fail(EstimateErrorKind::Internal);
-        }
-        match rx.recv_timeout(share) {
-            Ok(Ok(result)) => Self::classify(result),
-            Ok(Err(_)) => Outcome::Panicked,
-            Err(_) => Outcome::Timeout,
-        }
-    }
-
-    /// One batched stage call, panic-isolated and bounded by `share` —
-    /// the batch analogue of [`run_stage`](Self::run_stage). The whole
-    /// batch shares one watchdog thread and one timeout: a stage that
-    /// stalls mid-batch is abandoned wholesale and every pending row
-    /// falls through to the next stage.
-    fn run_stage_batch(stage: &StageSlot, queries: Vec<Query>, share: Duration) -> BatchOutcome {
-        if share >= INLINE_BUDGET {
-            let caught = catch_unwind(AssertUnwindSafe(|| stage.est.estimate_batch(&queries)));
-            return match caught {
-                Ok(rows) => BatchOutcome::Rows(rows),
-                Err(_) => BatchOutcome::Panicked,
-            };
-        }
-        if share.is_zero() {
-            return BatchOutcome::Timeout;
+            return RunOutcome::Timeout;
         }
         let est = SharedEstimator::clone(&stage.est);
-        let (tx, rx) = mpsc::sync_channel(1);
-        let spawned = std::thread::Builder::new()
-            .name("qfe-serve-batch-stage".into())
-            .spawn(move || {
-                let caught = catch_unwind(AssertUnwindSafe(|| est.estimate_batch(&queries)));
-                let _ = tx.send(caught);
-            });
-        if spawned.is_err() {
-            return BatchOutcome::SpawnFailed;
-        }
-        match rx.recv_timeout(share) {
-            Ok(Ok(rows)) => BatchOutcome::Rows(rows),
-            Ok(Err(_)) => BatchOutcome::Panicked,
-            Err(_) => BatchOutcome::Timeout,
-        }
+        runner::global().run(share, move || call(&est))
     }
 
-    fn classify(result: Result<Estimate, qfe_core::EstimateError>) -> Outcome {
+    /// Account a stage call that produced no rows — timed out, panicked,
+    /// or could not run (no runner thread could be spawned) — against
+    /// the stage: one breaker failure per call, error counters per row.
+    fn record_lost_call<T>(stage: &StageSlot, outcome: RunOutcome<T>, rows: u64) {
+        stage.breaker.record_failure();
+        let kind = match outcome {
+            RunOutcome::Timeout => {
+                stage.timeouts.fetch_add(rows, Ordering::Relaxed);
+                EstimateErrorKind::DeadlineExceeded
+            }
+            RunOutcome::Panicked => {
+                stage.panics.fetch_add(rows, Ordering::Relaxed);
+                EstimateErrorKind::Internal
+            }
+            // `Done` never reaches here: callers classify its rows.
+            RunOutcome::Done(_) | RunOutcome::Unavailable => EstimateErrorKind::Internal,
+        };
+        stage.record_error_n(kind, rows);
+    }
+
+    /// A stage's answer, re-validated: a finite value `>= 1`, or the
+    /// failure kind (an `Ok` wrapping an illegal value is `NonFinite`).
+    fn classify(
+        result: Result<Estimate, qfe_core::EstimateError>,
+    ) -> Result<f64, EstimateErrorKind> {
         match result {
             // Defense in depth, same as the chain: an Ok is only trusted
             // after re-validation.
-            Ok(est) if est.value.is_finite() && est.value >= 1.0 => Outcome::Answer(est.value),
-            Ok(_) => Outcome::Fail(EstimateErrorKind::NonFinite),
-            Err(e) => Outcome::Fail(e.kind()),
+            Ok(est) if est.value.is_finite() && est.value >= 1.0 => Ok(est.value),
+            Ok(_) => Err(EstimateErrorKind::NonFinite),
+            Err(e) => Err(e.kind()),
         }
     }
 

@@ -323,7 +323,6 @@ fn micro_batcher_stress_keeps_every_counter_coherent() {
             queue_capacity: 256,
             workers: 3,
             max_batch_size: 8,
-            max_batch_wait: Duration::from_millis(2),
             default_budget: Duration::from_secs(5),
             ..ServiceConfig::default()
         },
