@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks of the execution substrate: selection
-//! bitmap throughput and join-count throughput (the labeling oracle's
-//! hot paths).
+//! bitmap throughput (a large conjunctive scan and a forest-sized mixed
+//! AND/OR predicate) and join-count throughput (the labeling oracle's hot
+//! paths).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use qfe_core::predicate::{CmpOp, CompoundPredicate, SimplePredicate};
+use qfe_core::predicate::{CmpOp, CompoundPredicate, PredicateExpr, SimplePredicate};
 use qfe_core::query::{ColumnRef, JoinPredicate};
 use qfe_core::{ColumnId, Query, TableId};
+use qfe_data::forest::{generate_forest, ForestConfig};
 use qfe_data::imdb::{generate_imdb, ImdbConfig};
 use qfe_data::table::Table;
 use qfe_data::{Column, Database};
@@ -31,6 +33,34 @@ fn bench_selection(c: &mut Criterion) {
     );
     c.bench_function("selection_500k_rows", |b| {
         b.iter(|| std::hint::black_box(selection_bitmap(&table, &[&cp]).count()))
+    });
+}
+
+/// The labeling oracle's typical shape: a mixed `Or(And(..))` predicate
+/// (ranges with `<>` exclusions) over a forest-sized column.
+fn bench_mixed_selection(c: &mut Criterion) {
+    let db = generate_forest(&ForestConfig {
+        rows: 4_000,
+        quantitative_only: true,
+        seed: 0xF0_4E57,
+    });
+    let leaf = PredicateExpr::leaf;
+    let cp = CompoundPredicate {
+        column: ColumnRef::new(TableId(0), ColumnId(0)),
+        expr: PredicateExpr::Or(vec![
+            PredicateExpr::And(vec![
+                leaf(CmpOp::Ge, 2200),
+                leaf(CmpOp::Lt, 2600),
+                leaf(CmpOp::Ne, 2300),
+                leaf(CmpOp::Ne, 2400),
+            ]),
+            PredicateExpr::And(vec![leaf(CmpOp::Ge, 2900), leaf(CmpOp::Le, 3300)]),
+            PredicateExpr::And(vec![leaf(CmpOp::Gt, 3500), leaf(CmpOp::Ne, 3600)]),
+        ]),
+    };
+    let table = db.table(TableId(0));
+    c.bench_function("selection_mixed_4k_forest_rows", |b| {
+        b.iter(|| std::hint::black_box(selection_bitmap(table, &[&cp]).count()))
     });
 }
 
@@ -68,5 +98,10 @@ fn bench_join_count(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_selection, bench_join_count);
+criterion_group!(
+    benches,
+    bench_selection,
+    bench_mixed_selection,
+    bench_join_count
+);
 criterion_main!(benches);

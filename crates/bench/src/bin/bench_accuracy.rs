@@ -16,6 +16,9 @@
 //! quantization cuts), so compiled-model construction is under the same
 //! determinism gate as training.
 //!
+//! Per-phase wall times (environment build = generate + label, featurize,
+//! train, evaluate) go to stderr only, never into the record.
+//!
 //! Exits non-zero if any QFT's median q-error exceeds its bound.
 
 use qfe_bench::envs::ForestEnv;
@@ -25,6 +28,7 @@ use qfe_core::featurize::{AttributeSpace, FeatureMatrix};
 use qfe_core::metrics::ErrorSummary;
 use qfe_core::TableId;
 use qfe_ml::{gbdt_to_bytes, Gbdt, GbdtConfig, Matrix, Regressor};
+use std::time::{Duration, Instant};
 
 /// Committed per-QFT median q-error bounds at smoke scale (GB model,
 /// fixed seeds). Derived from the committed `ACCURACY.json` medians with
@@ -48,10 +52,19 @@ fn fingerprint(bytes: &[u8]) -> String {
     format!("{h:016x}")
 }
 
+/// Run `f`, adding its wall time to `total`.
+fn timed<R>(total: &mut Duration, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let out = f();
+    *total += start.elapsed();
+    out
+}
+
 fn main() {
     let scale = Scale::smoke();
+    let (mut env_time, mut featurize_time, mut train_time, mut eval_time) = Default::default();
     eprintln!("building forest environment at scale '{}'…", scale.label);
-    let env = ForestEnv::build(&scale);
+    let env = timed(&mut env_time, || ForestEnv::build(&scale));
 
     // A raw GBDT training run whose serialized bytes go into the record:
     // the strongest possible determinism witness (every split threshold,
@@ -59,7 +72,9 @@ fn main() {
     // counts for the fingerprint to agree).
     let space = AttributeSpace::for_table(env.db.catalog(), TableId(0));
     let featurizer = make_featurizer(QftKind::Conjunctive, space, scale.buckets, true);
-    let fm = FeatureMatrix::build(featurizer.as_ref(), &env.conj_train.queries);
+    let fm = timed(&mut featurize_time, || {
+        FeatureMatrix::build(featurizer.as_ref(), &env.conj_train.queries)
+    });
     let (rows, cols, data, _errors) = fm.into_raw();
     let x = Matrix::from_vec(rows, cols, data);
     let y: Vec<f32> = env
@@ -75,7 +90,7 @@ fn main() {
         seed: 0,
         ..GbdtConfig::default()
     });
-    gb.fit(&x, &y);
+    timed(&mut train_time, || gb.fit(&x, &y));
     let gb_fp = fingerprint(&gbdt_to_bytes(&gb));
     eprintln!("gbdt fingerprint: {gb_fp}");
     // Same witness for the compiled-inference layer: the flattened node
@@ -99,16 +114,21 @@ fn main() {
             QftKind::Complex => (&env.mixed_train, &env.mixed_test),
             _ => (&env.conj_train, &env.conj_test),
         };
-        let est = train_single_table(
-            env.db.catalog(),
-            TableId(0),
-            train,
-            qft,
-            ModelKind::Gb,
-            &scale,
-            true,
-        );
-        let summary = ErrorSummary::from_errors(&q_errors(&est, test));
+        // Fitting an estimator featurizes its training set too; that
+        // featurization is counted as training here.
+        let est = timed(&mut train_time, || {
+            train_single_table(
+                env.db.catalog(),
+                TableId(0),
+                train,
+                qft,
+                ModelKind::Gb,
+                &scale,
+                true,
+            )
+        });
+        let errors = timed(&mut eval_time, || q_errors(&est, test));
+        let summary = ErrorSummary::from_errors(&errors);
         let ok = summary.median <= bound;
         failed |= !ok;
         println!(
@@ -132,6 +152,15 @@ fn main() {
             bound
         ));
     }
+
+    eprintln!(
+        "phase wall times: environment (generate + label) {:.3} s | featurize {:.3} s | \
+         train {:.3} s | evaluate {:.3} s",
+        env_time.as_secs_f64(),
+        featurize_time.as_secs_f64(),
+        train_time.as_secs_f64(),
+        eval_time.as_secs_f64()
+    );
 
     let json = format!(
         "{{\"workload\":\"forest\",\"scale\":\"{}\",\"model\":\"GB\",\"gbdt_fingerprint\":\"{}\",\"compiled_fingerprint\":\"{}\",\"qfts\":{{{}}}}}\n",

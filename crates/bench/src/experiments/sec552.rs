@@ -62,15 +62,14 @@ pub fn run(env: &ForestEnv, scale: &Scale) -> String {
     let scaler =
         qfe_ml::scaling::LogScaler::fit(&labeled.cardinalities).expect("valid featurizer config");
     let y = scaler.transform_batch(&labeled.cardinalities);
+    let mut rebuild_secs = labeling_secs + featurize_secs;
     for kind in [ModelKind::Gb, ModelKind::Nn] {
         let mut model = make_model(kind, scale, 0);
         let t = Instant::now();
         model.fit(&x, &y);
-        report.line(format!(
-            "train {:<6}: {:.2}s",
-            kind.label(),
-            t.elapsed().as_secs_f64()
-        ));
+        let train_secs = t.elapsed().as_secs_f64();
+        rebuild_secs += train_secs;
+        report.line(format!("train {:<6}: {train_secs:.2}s", kind.label()));
     }
     let mut mscn = MscnEstimator::new(
         env.db.catalog(),
@@ -89,12 +88,21 @@ pub fn run(env: &ForestEnv, scale: &Scale) -> String {
     .expect("valid featurizer config");
     let t = Instant::now();
     mscn.fit(&labeled).expect("MSCN training");
-    report.line(format!("train MSCN  : {:.2}s", t.elapsed().as_secs_f64()));
+    let mscn_secs = t.elapsed().as_secs_f64();
+    rebuild_secs += mscn_secs;
+    report.line(format!("train MSCN  : {mscn_secs:.2}s"));
+    report.line(format!(
+        "labeling share of the whole rebuild: {:.0}% ({labeling_secs:.2}s of {rebuild_secs:.2}s)",
+        100.0 * labeling_secs / rebuild_secs
+    ));
     report.line(
-        "conclusion (as in the paper): obtaining labeled queries dominates the \
-         reconstruction cost, so models should simply be rebuilt on drift. The \
-         paper's GB-vs-NN training gap (6 s vs 21 min) appears at full model \
-         sizes; at this harness's scaled-down NN the two are comparable.",
+        "conclusion: the paper's labeling bottleneck comes from executing every \
+         query in a DBMS; this harness counts in memory (word-packed, \
+         pool-parallel), so its labeling share is far below the paper's. Either \
+         way a rebuild is cheap next to the drift it answers, so, as in the \
+         paper, models should simply be rebuilt on drift. The paper's GB-vs-NN \
+         training gap (6 s vs 21 min) appears at full model sizes; at this \
+         harness's scaled-down NN the two are comparable.",
     );
     report.finish()
 }

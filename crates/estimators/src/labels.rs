@@ -3,6 +3,7 @@
 //! following the paper ("we consider only queries with non-empty
 //! results").
 
+use qfe_core::parallel::current;
 use qfe_core::Query;
 use qfe_data::Database;
 use qfe_exec::true_cardinality;
@@ -55,16 +56,28 @@ impl LabeledQueries {
     }
 }
 
+/// Queries per labeling task. A constant, as the pool's fixed-chunk
+/// contract requires: chunk boundaries never depend on the thread count.
+const LABEL_CHUNK: usize = 32;
+
 /// Label `queries` against `db`, dropping queries with empty results and
 /// queries the counting oracle cannot handle.
+///
+/// Chunks of queries are counted on the [`current`] pool; the counts come
+/// back in chunk order and are filtered in input order, so the output is
+/// the same at every thread count.
 pub fn label_queries(db: &Database, queries: Vec<Query>) -> LabeledQueries {
+    let counts = current().par_chunks(&queries, LABEL_CHUNK, |_, chunk| {
+        chunk
+            .iter()
+            .map(|q| true_cardinality(db, q).ok())
+            .collect::<Vec<_>>()
+    });
     let mut out = LabeledQueries::default();
-    for q in queries {
-        if let Ok(card) = true_cardinality(db, &q) {
-            if card > 0 {
-                out.cardinalities.push(card as f64);
-                out.queries.push(q);
-            }
+    for (q, card) in queries.into_iter().zip(counts.into_iter().flatten()) {
+        if let Some(card) = card.filter(|&card| card > 0) {
+            out.cardinalities.push(card as f64);
+            out.queries.push(q);
         }
     }
     out

@@ -46,6 +46,14 @@ impl Bitmap {
         self.len == 0
     }
 
+    /// The backing words, row `r` at bit `r % 64` of word `r / 64`.
+    /// Writers must leave the tail word's bits at and above `len % 64`
+    /// clear: [`count`](Self::count) and [`iter_ones`](Self::iter_ones)
+    /// read whole words.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Set the bit for `row`.
     ///
     /// # Panics

@@ -1,4 +1,12 @@
 //! Vectorized predicate evaluation into selection bitmaps.
+//!
+//! Leaves are evaluated by a word-packed kernel, one generic function
+//! monomorphized per operator and element type. The [`CmpOp`] match is
+//! hoisted out of the row loop; each 64-row word is built branch-free
+//! (64 compares into 0/1 bytes, gathered eight at a time into bits by one
+//! multiply) and stored whole, instead of setting one bounds-checked bit
+//! per row. A short last chunk leaves the tail word's high bits clear.
+//! AND/OR nodes combine their children's bitmaps word by word.
 
 use qfe_core::predicate::{CompoundPredicate, PredicateExpr, SimplePredicate};
 use qfe_core::CmpOp;
@@ -8,48 +16,76 @@ use crate::bitmap::Bitmap;
 
 /// Evaluate one simple predicate over a column.
 pub fn eval_simple(column: &Column, pred: &SimplePredicate) -> Bitmap {
-    let n = column.len();
-    let mut bm = Bitmap::zeros(n);
+    let mut bm = Bitmap::zeros(column.len());
     let Some(rhs) = pred.value.as_f64() else {
         // Raw string literals never match: they must be dictionary-encoded
         // before execution.
         return bm;
     };
+    let words = bm.words_mut();
     match column {
-        Column::Int(values) => {
-            // Integer fast path: compare in i64 when the literal is
-            // integral, avoiding float conversion per row.
-            if rhs.fract() == 0.0 && rhs.abs() < 9e15 {
-                let rhs = rhs as i64;
-                for (row, &v) in values.iter().enumerate() {
-                    if pred.op.eval_i64(v, rhs) {
-                        bm.set(row);
-                    }
-                }
-            } else {
-                for (row, &v) in values.iter().enumerate() {
-                    if pred.op.eval_f64(v as f64, rhs) {
-                        bm.set(row);
-                    }
-                }
-            }
+        // Integer fast path: compare in i64 when the literal is integral,
+        // avoiding float conversion per row.
+        Column::Int(values) if rhs.fract() == 0.0 && rhs.abs() < 9e15 => {
+            pack_cmp(words, values, |v| v, pred.op, rhs as i64)
         }
-        Column::Float(values) => {
-            for (row, &v) in values.iter().enumerate() {
-                if pred.op.eval_f64(v, rhs) {
-                    bm.set(row);
-                }
-            }
-        }
-        Column::Dict { codes, .. } => {
-            for (row, &c) in codes.iter().enumerate() {
-                if pred.op.eval_f64(c as f64, rhs) {
-                    bm.set(row);
-                }
-            }
-        }
+        Column::Int(values) => pack_cmp(words, values, |v| v as f64, pred.op, rhs),
+        Column::Float(values) => pack_cmp(words, values, |v| v, pred.op, rhs),
+        Column::Dict { codes, .. } => pack_cmp(words, codes, |c| c as f64, pred.op, rhs),
     }
     bm
+}
+
+/// Fill `words` with `key(v) op rhs` over `values`, dispatching on `op`
+/// once per column rather than once per row. The comparisons are Rust's
+/// own operators, so they agree with [`CmpOp::eval_i64`] and
+/// [`CmpOp::eval_f64`] (NaN included) by construction.
+fn pack_cmp<T: Copy, K: PartialOrd + Copy>(
+    words: &mut [u64],
+    values: &[T],
+    key: impl Fn(T) -> K,
+    op: CmpOp,
+    rhs: K,
+) {
+    match op {
+        CmpOp::Eq => pack(words, values, |v| key(v) == rhs),
+        CmpOp::Lt => pack(words, values, |v| key(v) < rhs),
+        CmpOp::Gt => pack(words, values, |v| key(v) > rhs),
+        CmpOp::Le => pack(words, values, |v| key(v) <= rhs),
+        CmpOp::Ge => pack(words, values, |v| key(v) >= rhs),
+        CmpOp::Ne => pack(words, values, |v| key(v) != rhs),
+    }
+}
+
+/// Store one word per 64 values: bit `i` of word `w` is
+/// `keep(values[64 * w + i])`. A short last chunk leaves its padding bytes
+/// 0, so the tail word's high bits stay clear.
+fn pack<T: Copy>(words: &mut [u64], values: &[T], keep: impl Fn(T) -> bool) {
+    debug_assert_eq!(words.len(), values.len().div_ceil(64));
+    for (word, chunk) in words.iter_mut().zip(values.chunks(64)) {
+        let mut bytes = [0u8; 64];
+        for (b, &v) in bytes.iter_mut().zip(chunk) {
+            *b = u8::from(keep(v));
+        }
+        *word = gather(&bytes);
+    }
+}
+
+/// Multiplying eight 0/1 bytes (little-endian in a `u64`) by this moves
+/// byte `j`'s low bit to bit `56 + j`; no partial products overlap, so
+/// nothing carries.
+const GATHER_LOW_BITS: u64 = 0x0102_0408_1020_4080;
+
+/// The word whose bit `i` is `bytes[i]` (each 0 or 1). Shared by every
+/// [`pack`] instance, so the per-operator code is only the compare loop.
+fn gather(bytes: &[u8; 64]) -> u64 {
+    let mut bits = 0;
+    for (k, group) in bytes.chunks_exact(8).enumerate() {
+        let mut lanes = [0u8; 8];
+        lanes.copy_from_slice(group);
+        bits |= (u64::from_le_bytes(lanes).wrapping_mul(GATHER_LOW_BITS) >> 56) << (8 * k);
+    }
+    bits
 }
 
 /// Evaluate an arbitrary AND/OR predicate expression over a column.
@@ -95,14 +131,6 @@ pub fn row_matches(table: &Table, predicates: &[&CompoundPredicate], row: usize)
         let v = table.column(cp.column.column).get_f64(row);
         cp.expr.matches_f64(v)
     })
-}
-
-/// Evaluate a simple predicate via an explicit match — kept for clarity in
-/// examples of how `CmpOp` maps onto scans.
-pub fn scan_count(column: &Column, op: CmpOp, rhs: f64) -> u64 {
-    (0..column.len())
-        .filter(|&row| op.eval_f64(column.get_f64(row), rhs))
-        .count() as u64
 }
 
 #[cfg(test)]
@@ -233,11 +261,5 @@ mod tests {
     fn empty_predicate_list_selects_all() {
         let t = table();
         assert_eq!(selection_bitmap(&t, &[]).count(), 100);
-    }
-
-    #[test]
-    fn scan_count_oracle() {
-        let t = table();
-        assert_eq!(scan_count(t.column(ColumnId(0)), CmpOp::Lt, 50.0), 50);
     }
 }

@@ -3,10 +3,14 @@
 //! Query execution over `qfe-data` tables:
 //!
 //! * [`bitmap`] / [`eval`] — vectorized predicate evaluation into selection
-//!   bitmaps, including mixed (AND/OR) compound predicates.
+//!   bitmaps, including mixed (AND/OR) compound predicates. Leaves run a
+//!   word-packed kernel: the operator is dispatched once per column, and
+//!   each 64-row word is built branch-free and stored whole.
 //! * [`count`] — exact result cardinalities for selection and join queries;
 //!   this is the labeling oracle that produces training/test cardinalities
-//!   for the learned estimators and the ground truth for q-errors.
+//!   for the learned estimators and the ground truth for q-errors. It is
+//!   a pure function of the database and the query, so
+//!   `qfe-estimators::labels` can run it on many queries in parallel.
 //! * [`join`] — hash-join machinery shared by counting and execution.
 //! * [`cache`] — cross-call sub-plan estimate cache keyed on semantic
 //!   query fingerprints, with generation-based invalidation for

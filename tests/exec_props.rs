@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use qfe::core::featurize::GroupedQuery;
 use qfe::core::predicate::{CmpOp, CompoundPredicate, PredicateExpr, SimplePredicate};
 use qfe::core::query::{ColumnRef, JoinPredicate};
-use qfe::core::{ColumnId, Query, TableId};
+use qfe::core::{ColumnId, Query, TableId, Value};
 use qfe::data::table::{Database, ForeignKey, Table};
-use qfe::data::Column;
+use qfe::data::{Column, Dictionary};
 use qfe::exec::count::{brute_force_count, grouped_cardinality};
 use qfe::exec::eval::{eval_expr, row_matches};
 use qfe::exec::true_cardinality;
@@ -24,8 +24,20 @@ fn arb_op() -> impl Strategy<Value = CmpOp> {
     ]
 }
 
+/// Literals for every kernel path: integral `Int`s (the `i64` fast path on
+/// `Int` columns), non-integral `Float`s (the `f64` fallback), half-steps
+/// that tie with `Float` column values, and raw strings (match nothing).
+fn arb_literal() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        3 => (-2i64..12).prop_map(Value::Int),
+        2 => (-2.0f64..12.0).prop_map(Value::Float),
+        2 => (-4i64..24).prop_map(|v| Value::Float(v as f64 / 2.0)),
+        1 => Just(Value::Str("raw".into())),
+    ]
+}
+
 fn arb_expr(depth: u32) -> impl Strategy<Value = PredicateExpr> {
-    let leaf = (arb_op(), -2i64..12).prop_map(|(op, v)| PredicateExpr::leaf(op, v));
+    let leaf = (arb_op(), arb_literal()).prop_map(|(op, v)| PredicateExpr::leaf(op, v));
     leaf.prop_recursive(depth, 16, 3, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 1..3).prop_map(PredicateExpr::And),
@@ -34,24 +46,57 @@ fn arb_expr(depth: u32) -> impl Strategy<Value = PredicateExpr> {
     })
 }
 
+/// Row counts 0..=200, weighted towards the word boundaries (63/64/65,
+/// 127/128/129) so partial tail words and whole-word columns both occur.
+fn arb_len() -> impl Strategy<Value = usize> {
+    const EDGES: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 129, 200];
+    prop_oneof![0usize..=200, (0..EDGES.len()).prop_map(|i| EDGES[i]),]
+}
+
+/// An `Int`, `Float` (with NaNs) or `Dict` column of `raw.len()` rows.
+fn column_of(kind: u8, raw: Vec<i64>) -> Column {
+    match kind {
+        0 => Column::Int(raw),
+        1 => Column::Float(
+            raw.into_iter()
+                .map(|v| if v == 10 { f64::NAN } else { v as f64 / 2.0 })
+                .collect(),
+        ),
+        _ => Column::Dict {
+            codes: raw.into_iter().map(|v| v as u32).collect(),
+            dict: Dictionary::from_values((0..11).map(|i| format!("s{i:02}")).collect()),
+        },
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // More cases than the properties below: three column kinds, four
+    // literal kinds and the word-boundary lengths all multiply.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn bitmap_evaluation_matches_scalar_evaluation(
-        values in prop::collection::vec(0i64..10, 1..120),
+        kind in 0u8..3,
+        raw in arb_len().prop_flat_map(|n| prop::collection::vec(0i64..11, n)),
         expr in arb_expr(2),
     ) {
-        let column = Column::Int(values.clone());
+        let column = column_of(kind, raw);
         let bm = eval_expr(&column, &expr);
-        for (row, &v) in values.iter().enumerate() {
-            prop_assert_eq!(
-                bm.get(row),
-                expr.matches_f64(v as f64),
-                "row {} value {}", row, v
-            );
+        prop_assert_eq!(bm.len(), column.len());
+        let mut scalar_count = 0;
+        for row in 0..column.len() {
+            let v = column.get_f64(row);
+            let expected = expr.matches_f64(v);
+            scalar_count += u64::from(expected);
+            prop_assert_eq!(bm.get(row), expected, "row {} value {} expr {:?}", row, v, expr);
         }
+        // Equal counts prove the tail word carries no stray bits.
+        prop_assert_eq!(bm.count(), scalar_count);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn join_count_matches_brute_force(
