@@ -1,5 +1,7 @@
 //! Criterion micro-benchmarks of the ML substrate: forward-pass latency
-//! of trained GB / NN models and GBDT training throughput.
+//! of trained GB / NN models and GBDT training throughput, including a
+//! fit shaped like the drift-retraining step (a few hundred feedback
+//! rows of complex-QFT features).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -61,7 +63,42 @@ fn bench_training(c: &mut Criterion) {
             std::hint::black_box(gb.tree_count())
         })
     });
+    // The retrain-drift adaptation step's fit: 192 rows × 138 features,
+    // 128 of them complex-QFT-like values in {0, ½, 1} and 10 continuous,
+    // at the benchmark's `min_samples_leaf` 3 / `max_leaves` 64.
+    let (x, y) = make_retrain_data(192, 128, 10);
+    group.bench_function("gbdt_20_trees_retrain_shape", |b| {
+        b.iter(|| {
+            let mut gb = Gbdt::new(GbdtConfig {
+                n_trees: 20,
+                min_samples_leaf: 3,
+                max_leaves: 64,
+                ..GbdtConfig::default()
+            });
+            gb.fit(&x, &y);
+            std::hint::black_box(gb.tree_count())
+        })
+    });
     group.finish();
+}
+
+/// `n` rows of `discrete` columns in {0, ½, 1} followed by `continuous`
+/// columns in [0, 1), with a target that mixes both kinds.
+fn make_retrain_data(n: usize, discrete: usize, continuous: usize) -> (Matrix, Vec<f32>) {
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut rows = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut row: Vec<f32> = (0..discrete)
+            .map(|_| rng.gen_range(0..3u32) as f32 / 2.0)
+            .collect();
+        row.extend((0..continuous).map(|_| rng.gen::<f32>()));
+        let d = row[..discrete.min(8)].iter().sum::<f32>();
+        let c = row[discrete..].iter().sum::<f32>();
+        y.push(d * c + 0.1 * d);
+        rows.push(row);
+    }
+    (Matrix::from_rows(&rows), y)
 }
 
 criterion_group!(benches, bench_forward_pass, bench_training);

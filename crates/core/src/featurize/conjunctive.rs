@@ -183,8 +183,7 @@ impl UniversalConjunctionEncoding {
 
     /// Encode one attribute's merged predicate expression into its segment
     /// of the feature vector (`seg` has length `buckets_of(pos)` plus the
-    /// selectivity slot if enabled). This is the per-attribute unit of work
-    /// that [`super::MemoFeaturizer`] memoizes across sub-plan probes.
+    /// selectivity slot if enabled).
     pub(crate) fn encode_attr(
         &self,
         pos: usize,

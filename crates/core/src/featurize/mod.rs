@@ -21,7 +21,6 @@ pub mod groupby;
 pub mod join;
 pub mod lossless;
 mod matrix;
-pub mod memo;
 pub mod mscn;
 mod range;
 mod simple;
@@ -34,7 +33,6 @@ pub use equidepth::EquiDepthConjunctionEncoding;
 pub use groupby::{GroupByEncoding, GroupedQuery};
 pub use join::GlobalTableEncoding;
 pub use matrix::FeatureMatrix;
-pub use memo::{MemoFeaturizer, MemoStats, SegmentedFeaturizer};
 pub use range::RangePredicateEncoding;
 pub use simple::SingularPredicateEncoding;
 pub use space::AttributeSpace;

@@ -108,10 +108,9 @@ impl std::fmt::Display for QueryFingerprint {
     }
 }
 
-/// Canonical fingerprint of a single per-attribute predicate expression —
-/// the memo key of [`crate::featurize::MemoFeaturizer`]: two expressions
-/// with equal fingerprints featurize to bit-identical per-attribute
-/// segments.
+/// Canonical fingerprint of a single per-attribute predicate expression:
+/// two expressions with equal fingerprints featurize to bit-identical
+/// per-attribute segments.
 pub fn expr_fingerprint(expr: &PredicateExpr) -> u128 {
     let mut h = Fnv128::new();
     h.write(&[ENCODING_VERSION]);

@@ -7,6 +7,19 @@
 //! split only scans per-bin aggregates. Trees grow leaf-wise (best gain
 //! first) up to `max_leaves` / `max_depth`.
 //!
+//! Each node's histogram is one flat buffer of per-bin residual sums and
+//! row counts, laid out over the tree's sampled feature list (a constant
+//! feature gets no slots). Expanding a node uses LightGBM's histogram
+//! subtraction: only the child with fewer rows is accumulated from its
+//! rows, and the larger child's histogram is derived as parent − smaller,
+//! in place in the parent's buffer. A frontier node keeps its histogram
+//! only if both of its children could be searched (at least
+//! `4 · min_samples_leaf` rows and room for one more level); otherwise it
+//! is dropped at once and that node's children are built directly, which
+//! keeps the live histogram memory of wide trees down. Every bin still
+//! accumulates its rows in row order, and the split scan keeps the exact
+//! gain formula, so trees are the same as from direct builds.
+//!
 //! The resulting estimator is small (kilobytes) and trains in seconds —
 //! reproducing the paper's Section 5.7 observation that GB is the smallest
 //! and fastest-to-train estimator.
@@ -22,19 +35,22 @@ use crate::compiled::CompiledGbdt;
 use crate::matrix::Matrix;
 use crate::train::Regressor;
 
-/// Feature columns per parallel split-gain chunk. Fixed — never derived
-/// from the thread count — so split finding is bit-identical at any
-/// `QFE_THREADS` (see `qfe_core::parallel` for the contract: fixed chunk
-/// boundaries + chunk-order reduction).
+/// Feature columns per parallel chunk of cut / split work (and per
+/// row-outer histogram accumulation). Fixed — never derived from the
+/// thread count — so training is bit-identical at any `QFE_THREADS` (see
+/// `qfe_core::parallel` for the contract: fixed chunk boundaries +
+/// chunk-order reduction).
 const FEATURE_CHUNK: usize = 8;
-/// Rows per parallel residual / prediction-update chunk. Also fixed; the
-/// per-round loss is reduced from per-chunk partial sums in chunk order.
+/// Rows per parallel binning / residual / prediction-update chunk. Also
+/// fixed; the per-round loss is reduced from per-chunk partial sums in
+/// chunk order.
 const ROW_CHUNK: usize = 2048;
-/// `rows × features` below which split finding stays inline — the gate is
-/// a function of the data only, so both the serial and the chunked path
-/// are taken identically at every thread count (and they compute the
-/// same bits anyway: per-feature histograms are independent).
-const SPLIT_PAR_MIN_WORK: usize = 1 << 13;
+/// Histogram row-features (rows accumulated × features) per pool task of
+/// a split pass; a smaller pass runs inline. Waking a pool worker costs
+/// tens of microseconds on small VMs, so a task must carry real work.
+/// The task count is a function of the data only, and tasks cover whole
+/// feature chunks, so every thread count computes the same bits.
+const SPLIT_PAR_MIN_WORK: usize = 1 << 14;
 /// Rows below which `predict_batch` stays inline. Per-row sums always
 /// accumulate in tree order, so this gate cannot change results either.
 const PREDICT_PAR_MIN_ROWS: usize = 256;
@@ -126,25 +142,142 @@ impl Tree {
     }
 }
 
-/// Shared read-only inputs to one node's split search (the per-node
-/// sums are computed once and reused by every feature chunk).
-struct SplitCtx<'a> {
-    rows: &'a [u32],
-    residuals: &'a [f32],
-    bins: &'a [Vec<u8>],
-    cuts: &'a [Vec<f32>],
-    total_sum: f64,
-    parent_score: f64,
+/// A node's best split: `(gain, feature, threshold_bin)`.
+type Split = (f64, u32, u8);
+
+/// Replace `best` with `cand` only if `cand` gains strictly more, so ties
+/// stay with the earlier candidate (earliest feature in list order, then
+/// lowest bin).
+fn keep_better(best: &mut Option<Split>, cand: Split) {
+    if best.as_ref().is_none_or(|b| cand.0 > b.0) {
+        *best = Some(cand);
+    }
 }
 
-/// A leaf-wise growth candidate.
+/// Slot layout of a node histogram over one tree's sampled feature list:
+/// `features[i]` owns slots `offsets[i]..offsets[i + 1]`, one per bin, and
+/// a constant feature owns none. A chunk of `FEATURE_CHUNK` features maps
+/// to one contiguous slot range, so a pass can hand every pool task its
+/// own disjoint slice of each histogram.
+struct Layout<'a> {
+    features: &'a [u32],
+    offsets: Vec<usize>,
+}
+
+impl<'a> Layout<'a> {
+    fn new(features: &'a [u32], cuts: &[Vec<f32>]) -> Self {
+        let mut offsets = Vec::with_capacity(features.len() + 1);
+        let mut at = 0;
+        offsets.push(at);
+        for &f in features {
+            let n_bins = cuts[f as usize].len() + 1;
+            if n_bins >= 2 {
+                at += n_bins;
+            }
+            offsets.push(at);
+        }
+        Layout { features, offsets }
+    }
+
+    fn slots(&self) -> usize {
+        self.offsets[self.features.len()]
+    }
+}
+
+/// One node's histogram over a [`Layout`]: per-bin residual sums
+/// (accumulated in row order) and row counts.
+struct Hist {
+    sum: Vec<f64>,
+    cnt: Vec<u32>,
+}
+
+impl Hist {
+    fn zeroed(slots: usize) -> Self {
+        Hist {
+            sum: vec![0.0; slots],
+            cnt: vec![0; slots],
+        }
+    }
+}
+
+/// Split `buf` into the consecutive pieces delimited by `bounds`.
+fn split_at_bounds<'b, T>(mut buf: &'b mut [T], bounds: &[usize]) -> Vec<&'b mut [T]> {
+    bounds
+        .windows(2)
+        .map(|w| {
+            let (head, tail) = std::mem::take(&mut buf).split_at_mut(w[1] - w[0]);
+            buf = tail;
+            head
+        })
+        .collect()
+}
+
+/// Row-major binned features: `row(r)[f]` is row `r`'s bin of feature
+/// `f`. Row-major so a histogram build can walk each row once and update
+/// several features' histograms from it.
+struct Bins {
+    cols: usize,
+    data: Vec<u8>,
+}
+
+impl Bins {
+    fn row(&self, r: u32) -> &[u8] {
+        let at = r as usize * self.cols;
+        &self.data[at..at + self.cols]
+    }
+}
+
+/// Add `rows`' residuals into one chunk's histogram slices. `features`
+/// pairs each non-constant feature with its first slot (relative to the
+/// slices). Rows are the outer loop so the chunk's per-feature updates
+/// are independent of each other and overlap; every bin still receives
+/// its rows in row order.
+fn accumulate(
+    bins: &Bins,
+    residuals: &[f32],
+    rows: &[u32],
+    features: &[(usize, usize)],
+    sum: &mut [f64],
+    cnt: &mut [u32],
+) {
+    for &r in rows {
+        let v = residuals[r as usize] as f64;
+        let row = bins.row(r);
+        for &(f, at) in features {
+            let slot = at + row[f] as usize;
+            sum[slot] += v;
+            cnt[slot] += 1;
+        }
+    }
+}
+
+/// A node one pass produces a histogram for.
+struct Side<'a> {
+    /// The node's rows. Iterated only when the histogram is built
+    /// directly; a derived side uses just their count.
+    rows: &'a [u32],
+    /// Residual sum over `rows` (row order).
+    total: f64,
+    /// `total² / (n + λ)`: the no-split score gains are measured against.
+    score: f64,
+    /// Histogram = parent − the directly-built sibling, computed in place
+    /// in the parent's buffer.
+    derived: bool,
+    /// Scan for a split; false when the histogram is only built so the
+    /// sibling can be derived from it.
+    search: bool,
+}
+
+/// A leaf-wise growth candidate: a leaf with a split worth expanding.
 struct Candidate {
     node_slot: usize,
     rows: Vec<u32>,
     depth: usize,
-    gain: f64,
-    feature: u32,
-    threshold_bin: u8,
+    split: Split,
+    /// Kept only when both children could be searched (see
+    /// [`TreeBuilder::push_candidate`]); the larger child's histogram is
+    /// then derived from it instead of being rebuilt.
+    hist: Option<Hist>,
 }
 
 /// The gradient-boosting ensemble.
@@ -245,148 +378,344 @@ impl Gbdt {
         .collect()
     }
 
-    /// Column-major binned features: `bins[f][row]`, feature-parallel.
-    fn bin_features(pool: &ThreadPool, x: &Matrix, cuts: &[Vec<f32>]) -> Vec<Vec<u8>> {
-        let n = x.rows();
-        let cols: Vec<usize> = (0..x.cols()).collect();
-        pool.par_chunks(&cols, FEATURE_CHUNK, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&f| {
-                    let c = &cuts[f];
-                    (0..n)
-                        .map(|r| c.partition_point(|&edge| edge < x.get(r, f)) as u8)
-                        .collect::<Vec<u8>>()
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+    /// Bin every feature of every row, row-parallel. Each value's bin
+    /// depends only on its own column's cuts, so chunking cannot change
+    /// the result.
+    fn bin_features(pool: &ThreadPool, x: &Matrix, cuts: &[Vec<f32>]) -> Bins {
+        let cols = x.cols();
+        let mut data = vec![0u8; x.rows() * cols];
+        pool.par_chunks_mut(&mut data, ROW_CHUNK * cols.max(1), |ci, chunk| {
+            for (j, row) in chunk.chunks_mut(cols).enumerate() {
+                let r = ci * ROW_CHUNK + j;
+                for (f, bin) in row.iter_mut().enumerate() {
+                    let v = x.get(r, f);
+                    *bin = cuts[f].partition_point(|&edge| edge < v) as u8;
+                }
+            }
+        });
+        Bins { cols, data }
     }
+}
 
-    /// The histogram scan of [`best_split`](Self::best_split) over one
-    /// slice of candidate features. Ties keep the earliest feature in
-    /// slice order (strict `>`), which the chunk-order reduction in
-    /// `best_split` extends across chunks.
-    fn best_split_over(&self, ctx: &SplitCtx<'_>, features: &[u32]) -> Option<(f64, u32, u8)> {
-        let lambda = self.config.lambda as f64;
-        let min_child = self.config.min_samples_leaf;
-        let mut best: Option<(f64, u32, u8)> = None;
-        let mut hist_sum = [0.0f64; 256];
-        let mut hist_cnt = [0u32; 256];
-        for &f in features {
-            let n_bins = ctx.cuts[f as usize].len() + 1;
-            if n_bins < 2 {
-                continue; // constant feature
+/// One tree's growth: the inputs every pass reads, plus a free list of
+/// histogram buffers, so a tree allocates only as many histograms as are
+/// ever live at once.
+struct TreeBuilder<'a> {
+    config: &'a GbdtConfig,
+    pool: &'a ThreadPool,
+    layout: Layout<'a>,
+    residuals: &'a [f32],
+    bins: &'a Bins,
+    /// `inv[k] = 1 / (k + λ)` for every row count `k`, which the scan's
+    /// pruning bound multiplies by; empty when `λ ≤ 0` (no pruning).
+    inv: &'a [f64],
+    spare: Vec<Hist>,
+}
+
+impl TreeBuilder<'_> {
+    /// A zeroed histogram, reusing a spare buffer when there is one.
+    fn hist(&mut self) -> Hist {
+        match self.spare.pop() {
+            Some(mut h) => {
+                h.sum.fill(0.0);
+                h.cnt.fill(0);
+                h
             }
-            hist_sum[..n_bins].fill(0.0);
-            hist_cnt[..n_bins].fill(0);
-            let fb = &ctx.bins[f as usize];
-            for &r in ctx.rows {
-                let b = fb[r as usize] as usize;
-                hist_sum[b] += ctx.residuals[r as usize] as f64;
-                hist_cnt[b] += 1;
-            }
-            let mut left_sum = 0.0f64;
-            let mut left_cnt = 0u32;
-            for t in 0..n_bins - 1 {
-                left_sum += hist_sum[t];
-                left_cnt += hist_cnt[t];
-                let right_cnt = ctx.rows.len() as u32 - left_cnt;
-                if (left_cnt as usize) < min_child || (right_cnt as usize) < min_child {
-                    continue;
-                }
-                let right_sum = ctx.total_sum - left_sum;
-                let score = left_sum * left_sum / (left_cnt as f64 + lambda)
-                    + right_sum * right_sum / (right_cnt as f64 + lambda);
-                let gain = score - ctx.parent_score;
-                if gain > 1e-9 && best.as_ref().is_none_or(|(g, _, _)| gain > *g) {
-                    best = Some((gain, f, t as u8));
-                }
-            }
+            None => Hist::zeroed(self.layout.slots()),
         }
-        best
     }
 
-    /// Find the best split of `rows` over `features`, returning
-    /// `(gain, feature, threshold_bin)`.
-    ///
-    /// Split-gain evaluation fans out over fixed feature chunks; each
-    /// chunk's histograms are independent, and the chunk bests are
-    /// reduced in chunk order with a strict `>` so ties resolve to the
-    /// earliest feature exactly as the serial scan would. The result is
-    /// bit-identical at every thread count.
-    fn best_split(
-        &self,
-        pool: &ThreadPool,
-        rows: &[u32],
-        residuals: &[f32],
-        bins: &[Vec<u8>],
-        cuts: &[Vec<f32>],
-        features: &[u32],
-    ) -> Option<(f64, u32, u8)> {
-        let lambda = self.config.lambda as f64;
-        let total_sum: f64 = rows.iter().map(|&r| residuals[r as usize] as f64).sum();
-        let total_n = rows.len() as f64;
-        let ctx = SplitCtx {
+    /// Describe a node for [`pass`](Self::pass).
+    fn side<'r>(&self, rows: &'r [u32], derived: bool, search: bool) -> Side<'r> {
+        let total = node_sum(rows, self.residuals);
+        Side {
             rows,
-            residuals,
-            bins,
-            cuts,
-            total_sum,
-            parent_score: total_sum * total_sum / (total_n + lambda),
-        };
-        if rows.len().saturating_mul(features.len()) < SPLIT_PAR_MIN_WORK {
-            return self.best_split_over(&ctx, features);
+            total,
+            score: total * total / (rows.len() as f64 + self.config.lambda as f64),
+            derived,
+            search,
         }
-        pool.par_chunks(features, FEATURE_CHUNK, |_, chunk| {
-            self.best_split_over(&ctx, chunk)
-        })
-        .into_iter()
-        .flatten()
-        .fold(None, |best: Option<(f64, u32, u8)>, cand| {
-            if best.as_ref().is_none_or(|(g, _, _)| cand.0 > *g) {
-                Some(cand)
-            } else {
-                best
-            }
-        })
     }
 
-    fn leaf_value(&self, rows: &[u32], residuals: &[f32]) -> f32 {
-        let sum: f64 = rows.iter().map(|&r| residuals[r as usize] as f64).sum();
+    fn leaf_value(&self, rows: &[u32]) -> f32 {
+        let sum = node_sum(rows, self.residuals);
         (sum / (rows.len() as f64 + self.config.lambda as f64)) as f32
     }
 
-    /// Grow one tree on the residuals, leaf-wise.
-    fn grow_tree(
+    /// Scan one feature's histogram for its best threshold, folding it
+    /// into `best` (strict `>`: ties keep the earlier feature, then the
+    /// lower bin, and a gain must exceed `1e-9`).
+    ///
+    /// - Empty bins need no special case. Every histogram holds `+0.0` in
+    ///   a count-0 slot (see [`pass_features`](Self::pass_features)), so a
+    ///   threshold at an empty bin repeats the previous threshold's sums
+    ///   and gain bit for bit, and the strict `>` never picks it.
+    /// - The exact gain's two divisions are only paid for thresholds that
+    ///   could win. With `λ > 0` both score terms are non-negative, and
+    ///   the bound `l²·inv[nl] + r²·inv[nr]` is within 6 ulps of the exact
+    ///   `l²/(nl + λ) + r²/(nr + λ)` (same squares, same denominators, a
+    ///   few roundings each). Padded by `1e-12` relative on both sides of
+    ///   the comparison, it is an upper bound, so a threshold that fails
+    ///   it provably cannot beat the bar. A NaN bound fails the comparison
+    ///   and takes the exact path.
+    fn scan(
         &self,
-        pool: &ThreadPool,
-        residuals: &[f32],
-        bins: &[Vec<u8>],
-        cuts: &[Vec<f32>],
-        features: &[u32],
-        n: usize,
-    ) -> Tree {
-        let mut nodes: Vec<Node> = vec![Node::Leaf(0.0)];
-        let all_rows: Vec<u32> = (0..n as u32).collect();
-        let mut frontier: Vec<Candidate> = Vec::new();
-        if let Some((gain, feature, tbin)) =
-            self.best_split(pool, &all_rows, residuals, bins, cuts, features)
-        {
-            frontier.push(Candidate {
-                node_slot: 0,
-                rows: all_rows,
-                depth: 0,
-                gain,
-                feature,
-                threshold_bin: tbin,
-            });
-        } else {
-            nodes[0] = Node::Leaf(self.leaf_value(&(0..n as u32).collect::<Vec<_>>(), residuals));
-            return Tree { nodes };
+        sum: &[f64],
+        cnt: &[u32],
+        node: &Side<'_>,
+        feature: u32,
+        best: &mut Option<Split>,
+    ) {
+        let lambda = self.config.lambda as f64;
+        let min_child = self.config.min_samples_leaf;
+        let n = node.rows.len() as u32;
+        let mut left_sum = 0.0f64;
+        let mut left_cnt = 0u32;
+        let mut bar = best.as_ref().map_or(1e-9, |b| b.0);
+        let mut need = (node.score + bar) * (1.0 - 1e-12);
+        for t in 0..sum.len() - 1 {
+            left_sum += sum[t];
+            left_cnt += cnt[t];
+            let right_cnt = n - left_cnt;
+            if (right_cnt as usize) < min_child {
+                break; // only shrinks from here on
+            }
+            if (left_cnt as usize) < min_child {
+                continue;
+            }
+            let right_sum = node.total - left_sum;
+            if !self.inv.is_empty() {
+                let bound = left_sum * left_sum * self.inv[left_cnt as usize]
+                    + right_sum * right_sum * self.inv[right_cnt as usize];
+                if bound * (1.0 + 1e-12) <= need {
+                    continue;
+                }
+            }
+            let score = left_sum * left_sum / (left_cnt as f64 + lambda)
+                + right_sum * right_sum / (right_cnt as f64 + lambda);
+            let gain = score - node.score;
+            if gain > bar {
+                *best = Some((gain, feature, t as u8));
+                bar = gain;
+                need = (node.score + bar) * (1.0 - 1e-12);
+            }
         }
+    }
+
+    /// Accumulate `rows` into one chunk's zeroed histogram slices (see
+    /// [`accumulate`]). A pool task (`private`) accumulates into a buffer
+    /// of its own and stores the result once: neighbouring tasks' slices
+    /// share cache lines at their edges, and a few-bin chunk's whole slice
+    /// can fit in a line or two, so accumulating in place would have the
+    /// cores fight over those lines on every row. The stored bits are the
+    /// same either way (each slot is `0.0 + its sum`).
+    fn build(
+        &self,
+        rows: &[u32],
+        owned: &[(usize, usize)],
+        sum: &mut [f64],
+        cnt: &mut [u32],
+        private: bool,
+    ) {
+        if private {
+            let (mut s, mut c) = (vec![0.0; sum.len()], vec![0; cnt.len()]);
+            accumulate(self.bins, self.residuals, rows, owned, &mut s, &mut c);
+            sum.copy_from_slice(&s);
+            cnt.copy_from_slice(&c);
+        } else {
+            accumulate(self.bins, self.residuals, rows, owned, sum, cnt);
+        }
+    }
+
+    /// One pass over a run of features: build side `a`'s histogram from
+    /// its rows, build side `b`'s from its rows or derive it as parent −
+    /// `a` in place, then scan each side that searches, in feature order.
+    /// A derived slot whose count drops to 0 gets a sum of `+0.0`, as a
+    /// direct build would give it, rather than the subtraction's rounding
+    /// residue.
+    /// `offsets` are the run's absolute slot offsets (one per feature plus
+    /// the end); the histogram slices start at `offsets[0]`.
+    fn pass_features(
+        &self,
+        features: &[u32],
+        offsets: &[usize],
+        (a, a_sum, a_cnt): (&Side<'_>, &mut [f64], &mut [u32]),
+        mut b: Option<(&Side<'_>, &mut [f64], &mut [u32])>,
+        private: bool,
+    ) -> (Option<Split>, Option<Split>) {
+        let base = offsets[0];
+        for (k, chunk) in features.chunks(FEATURE_CHUNK).enumerate() {
+            let first = k * FEATURE_CHUNK;
+            let (lo, hi) = (offsets[first] - base, offsets[first + chunk.len()] - base);
+            // The chunk's features that own slots, with their first slot
+            // relative to the chunk's.
+            let mut owned = [(0usize, 0usize); FEATURE_CHUNK];
+            let mut m = 0;
+            for (j, &f) in chunk.iter().enumerate() {
+                let i = first + j;
+                if offsets[i + 1] > offsets[i] {
+                    owned[m] = (f as usize, offsets[i] - base - lo);
+                    m += 1;
+                }
+            }
+            let owned = &owned[..m];
+            self.build(
+                a.rows,
+                owned,
+                &mut a_sum[lo..hi],
+                &mut a_cnt[lo..hi],
+                private,
+            );
+            if let Some((side, b_sum, b_cnt)) = b.as_mut().filter(|(side, ..)| !side.derived) {
+                self.build(
+                    side.rows,
+                    owned,
+                    &mut b_sum[lo..hi],
+                    &mut b_cnt[lo..hi],
+                    private,
+                );
+            }
+        }
+        if let Some((_, b_sum, b_cnt)) = b.as_mut().filter(|(side, ..)| side.derived) {
+            for (cb, ca) in b_cnt.iter_mut().zip(a_cnt.iter()) {
+                *cb -= ca;
+            }
+            for ((sb, sa), cb) in b_sum.iter_mut().zip(a_sum.iter()).zip(b_cnt.iter()) {
+                *sb = if *cb == 0 { 0.0 } else { *sb - sa };
+            }
+        }
+        let (mut best_a, mut best_b) = (None, None);
+        for (i, &f) in features.iter().enumerate() {
+            let (lo, hi) = (offsets[i] - base, offsets[i + 1] - base);
+            if lo == hi {
+                continue; // constant feature: no slots, no split
+            }
+            if a.search {
+                self.scan(&a_sum[lo..hi], &a_cnt[lo..hi], a, f, &mut best_a);
+            }
+            if let Some((side, b_sum, b_cnt)) = b.as_ref().filter(|(side, ..)| side.search) {
+                self.scan(&b_sum[lo..hi], &b_cnt[lo..hi], side, f, &mut best_b);
+            }
+        }
+        (best_a, best_b)
+    }
+
+    /// Produce the histograms of side `a` (into the zeroed `a_hist`) and
+    /// optionally side `b` (into a zeroed buffer, or the parent's buffer
+    /// when `b` is derived), returning each side's best split.
+    ///
+    /// A pass whose histogram builds add at least `SPLIT_PAR_MIN_WORK`
+    /// row-features runs on the pool, as one task per `SPLIT_PAR_MIN_WORK`
+    /// (at most one per `FEATURE_CHUNK`); each task covers a run of whole
+    /// feature chunks and owns disjoint histogram slices. Smaller passes
+    /// run inline. The task bests are reduced in task order with a strict
+    /// `>`, exactly as one serial scan would, and the task count depends
+    /// on the data only, so the result is bit-identical at every thread
+    /// count.
+    fn pass(
+        &self,
+        (a, a_hist): (&Side<'_>, &mut Hist),
+        b: Option<(&Side<'_>, &mut Hist)>,
+    ) -> (Option<Split>, Option<Split>) {
+        let Layout { features, offsets } = &self.layout;
+        let nf = features.len();
+        let built = a.rows.len()
+            + b.as_ref()
+                .filter(|(side, _)| !side.derived)
+                .map_or(0, |(side, _)| side.rows.len());
+        let n_chunks = nf.div_ceil(FEATURE_CHUNK);
+        let n_tasks = (built * nf / SPLIT_PAR_MIN_WORK).clamp(1, n_chunks.max(1));
+        if n_tasks == 1 {
+            return self.pass_features(
+                features,
+                offsets,
+                (a, &mut a_hist.sum, &mut a_hist.cnt),
+                b.map(|(side, h)| (side, &mut h.sum[..], &mut h.cnt[..])),
+                false,
+            );
+        }
+        // Task `t` covers features `starts[t]..starts[t + 1]`, whole chunks.
+        let starts: Vec<usize> = (0..=n_tasks)
+            .map(|t| (t * n_chunks / n_tasks * FEATURE_CHUNK).min(nf))
+            .collect();
+        let bounds: Vec<usize> = starts.iter().map(|&i| offsets[i]).collect();
+        let a_segs = split_at_bounds(&mut a_hist.sum, &bounds)
+            .into_iter()
+            .zip(split_at_bounds(&mut a_hist.cnt, &bounds));
+        let b_segs: Vec<_> = match b {
+            Some((side, hist)) => split_at_bounds(&mut hist.sum, &bounds)
+                .into_iter()
+                .zip(split_at_bounds(&mut hist.cnt, &bounds))
+                .map(|(s, c)| Some((side, s, c)))
+                .collect(),
+            None => (0..n_tasks).map(|_| None).collect(),
+        };
+        let tasks: Vec<_> = a_segs
+            .zip(b_segs)
+            .zip(starts.windows(2))
+            .map(|(((a_sum, a_cnt), b_seg), w)| {
+                let (features, offsets) = (&features[w[0]..w[1]], &offsets[w[0]..=w[1]]);
+                move || self.pass_features(features, offsets, (a, a_sum, a_cnt), b_seg, true)
+            })
+            .collect();
+        let (mut best_a, mut best_b) = (None, None);
+        for (ta, tb) in self.pool.scoped(tasks) {
+            ta.into_iter().for_each(|s| keep_better(&mut best_a, s));
+            tb.into_iter().for_each(|s| keep_better(&mut best_b, s));
+        }
+        (best_a, best_b)
+    }
+
+    /// Enqueue a searched node if it found a split. Its histogram is kept
+    /// only if both of its children could be searched — at least
+    /// `4 · min_samples_leaf` rows and room for one more level — since
+    /// only then can it spare a direct build; otherwise the buffer goes
+    /// back to the free list and the node's children are built directly
+    /// when it is expanded.
+    fn push_candidate(
+        &mut self,
+        frontier: &mut Vec<Candidate>,
+        (node_slot, rows, depth): (usize, Vec<u32>, usize),
+        split: Option<Split>,
+        hist: Option<Hist>,
+    ) {
+        let Some(split) = split else {
+            self.spare.extend(hist);
+            return;
+        };
+        let keep =
+            rows.len() >= 4 * self.config.min_samples_leaf && depth + 1 < self.config.max_depth;
+        let hist = if keep {
+            hist
+        } else {
+            self.spare.extend(hist);
+            None
+        };
+        frontier.push(Candidate {
+            node_slot,
+            rows,
+            depth,
+            split,
+            hist,
+        });
+    }
+
+    /// Grow one tree on the residuals, leaf-wise.
+    ///
+    /// Each expansion builds the smaller child's histogram from its rows
+    /// and, when the parent kept its histogram, derives the larger child's
+    /// as parent − smaller in the parent's buffer (LightGBM's histogram
+    /// subtraction), so per level only the smaller half of the rows is
+    /// accumulated.
+    fn grow(mut self, cuts: &[Vec<f32>], n: usize) -> Tree {
+        let min_search = 2 * self.config.min_samples_leaf;
+        let all_rows: Vec<u32> = (0..n as u32).collect();
+        let mut nodes = vec![Node::Leaf(self.leaf_value(&all_rows))];
+        let mut root_hist = self.hist();
+        let root = self.side(&all_rows, false, true);
+        let (split, _) = self.pass((&root, &mut root_hist), None);
+        let mut frontier: Vec<Candidate> = Vec::new();
+        self.push_candidate(&mut frontier, (0, all_rows, 0), split, Some(root_hist));
 
         let mut leaves = 1usize;
         while leaves < self.config.max_leaves {
@@ -394,66 +723,87 @@ impl Gbdt {
             let Some(best_idx) = frontier
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.gain.total_cmp(&b.1.gain))
+                .max_by(|a, b| a.1.split.0.total_cmp(&b.1.split.0))
                 .map(|(i, _)| i)
             else {
                 break;
             };
             let cand = frontier.swap_remove(best_idx);
-            let fb = &bins[cand.feature as usize];
+            let (_, feature, threshold_bin) = cand.split;
             let (left_rows, right_rows): (Vec<u32>, Vec<u32>) = cand
                 .rows
                 .iter()
-                .partition(|&&r| fb[r as usize] <= cand.threshold_bin);
-            let threshold = cuts[cand.feature as usize][cand.threshold_bin as usize];
+                .partition(|&&r| self.bins.row(r)[feature as usize] <= threshold_bin);
             let left_slot = nodes.len();
-            nodes.push(Node::Leaf(self.leaf_value(&left_rows, residuals)));
+            nodes.push(Node::Leaf(self.leaf_value(&left_rows)));
             let right_slot = nodes.len();
-            nodes.push(Node::Leaf(self.leaf_value(&right_rows, residuals)));
+            nodes.push(Node::Leaf(self.leaf_value(&right_rows)));
             nodes[cand.node_slot] = Node::Split {
-                feature: cand.feature,
-                threshold,
+                feature,
+                threshold: cuts[feature as usize][threshold_bin as usize],
                 left: left_slot as u32,
                 right: right_slot as u32,
             };
             leaves += 1;
 
-            // Enqueue children if they can still split. Both children's
-            // split searches are independent, so evaluate them as one
-            // scoped pair; results come back in task order (left, right),
-            // matching the serial loop exactly.
-            if cand.depth + 1 < self.config.max_depth {
-                let children = [(left_slot, left_rows), (right_slot, right_rows)];
-                let splits = pool.scoped(
-                    children
-                        .iter()
-                        .map(|(_, rows)| {
-                            move || {
-                                if rows.len() >= 2 * self.config.min_samples_leaf {
-                                    self.best_split(pool, rows, residuals, bins, cuts, features)
-                                } else {
-                                    None
-                                }
-                            }
-                        })
-                        .collect(),
-                );
-                for ((slot, rows), split) in children.into_iter().zip(splits) {
-                    if let Some((gain, feature, tbin)) = split {
-                        frontier.push(Candidate {
-                            node_slot: slot,
-                            rows,
-                            depth: cand.depth + 1,
-                            gain,
-                            feature,
-                            threshold_bin: tbin,
-                        });
-                    }
-                }
+            let depth = cand.depth + 1;
+            let left_small = left_rows.len() <= right_rows.len();
+            let (small, large) = if left_small {
+                (&left_rows, &right_rows)
+            } else {
+                (&right_rows, &left_rows)
+            };
+            if depth >= self.config.max_depth || large.len() < min_search {
+                self.spare.extend(cand.hist);
+                continue; // neither child can be searched
             }
+            // Search the children: the smaller one is built from its rows
+            // (if it can split, or to derive its sibling); the larger one is
+            // derived from the parent's histogram when it was kept, built
+            // directly otherwise.
+            let s = self.side(small, false, small.len() >= min_search);
+            let (small_split, large_split, small_hist, large_hist) = match cand.hist {
+                Some(mut parent) => {
+                    let mut small_hist = self.hist();
+                    let l = self.side(large, true, true);
+                    let (ss, ls) = self.pass((&s, &mut small_hist), Some((&l, &mut parent)));
+                    (ss, ls, Some(small_hist), parent)
+                }
+                None if s.search => {
+                    let (mut small_hist, mut built) = (self.hist(), self.hist());
+                    let l = self.side(large, false, true);
+                    let (ss, ls) = self.pass((&s, &mut small_hist), Some((&l, &mut built)));
+                    (ss, ls, Some(small_hist), built)
+                }
+                None => {
+                    let mut built = self.hist();
+                    let l = self.side(large, false, true);
+                    let (ls, _) = self.pass((&l, &mut built), None);
+                    (None, ls, None, built)
+                }
+            };
+            // Enqueue in (left, right) order, as ties in the frontier's
+            // max-gain pick depend on it.
+            let (left, right) = if left_small {
+                ((small_split, small_hist), (large_split, Some(large_hist)))
+            } else {
+                ((large_split, Some(large_hist)), (small_split, small_hist))
+            };
+            self.push_candidate(&mut frontier, (left_slot, left_rows, depth), left.0, left.1);
+            self.push_candidate(
+                &mut frontier,
+                (right_slot, right_rows, depth),
+                right.0,
+                right.1,
+            );
         }
         Tree { nodes }
     }
+}
+
+/// Residual sum over `rows`, in row order.
+fn node_sum(rows: &[u32], residuals: &[f32]) -> f64 {
+    rows.iter().map(|&r| residuals[r as usize] as f64).sum()
 }
 
 impl Gbdt {
@@ -628,8 +978,16 @@ impl Gbdt {
         let mut pred = vec![self.base; n];
         let mut residuals = vec![0.0f32; n];
         let all_features: Vec<u32> = (0..x.cols() as u32).collect();
-        let n_sampled =
-            ((x.cols() as f64 * self.config.colsample).ceil() as usize).clamp(1, x.cols());
+        let lambda = self.config.lambda as f64;
+        let inv: Vec<f64> = if lambda > 0.0 {
+            (0..=n).map(|k| 1.0 / (k as f64 + lambda)).collect()
+        } else {
+            Vec::new()
+        };
+        // At least one feature per tree; none at all for a zero-column
+        // matrix, whose trees are then single leaves (the constant model).
+        let n_sampled = ((x.cols() as f64 * self.config.colsample).ceil() as usize)
+            .clamp(1.min(x.cols()), x.cols());
 
         for round in 0..self.config.n_trees {
             if let Some(go_on) = should_continue.as_deref_mut() {
@@ -675,7 +1033,16 @@ impl Gbdt {
                 fs.truncate(n_sampled);
                 fs
             };
-            let tree = self.grow_tree(&pool, &residuals, &bins, &cuts, &features, n);
+            let tree = TreeBuilder {
+                config: &self.config,
+                pool: &pool,
+                layout: Layout::new(&features, &cuts),
+                residuals: &residuals,
+                bins: &bins,
+                inv: &inv,
+                spare: Vec::new(),
+            }
+            .grow(&cuts, n);
             let lr = self.config.learning_rate;
             // Prediction update is per-row independent: chunking only
             // changes scheduling, never the arithmetic on any row.
@@ -1121,6 +1488,258 @@ mod tests {
             chaos.validate_probe(&x).unwrap_err(),
             crate::train::TrainError::NonFinitePrediction { .. }
         ));
+    }
+
+    #[test]
+    fn zero_column_matrix_trains_the_constant_model() {
+        let x = Matrix::zeros(4, 0);
+        let y = [1.0f32, 2.0, 3.0, 6.0];
+        let cfg = GbdtConfig {
+            n_trees: 3,
+            min_samples_leaf: 1,
+            ..GbdtConfig::default()
+        };
+        let mut fitted = Gbdt::new(cfg.clone());
+        fitted.fit(&x, &y);
+        let mut tried = Gbdt::new(cfg.clone());
+        tried.try_fit(&x, &y).unwrap();
+        let mut within = Gbdt::new(cfg);
+        within.try_fit_within(&x, &y, &mut || true).unwrap();
+        for gb in [&fitted, &tried, &within] {
+            assert_eq!(gb.tree_count(), 3);
+            assert!(gb
+                .trees
+                .iter()
+                .all(|t| matches!(t.nodes[..], [Node::Leaf(_)])));
+            for p in gb.predict_batch(&x) {
+                assert!((p - 3.0).abs() < 1e-5, "{p}");
+            }
+        }
+    }
+
+    /// A tree builder over `bins`/`residuals` for the histogram tests.
+    fn with_builder<R>(
+        bins: &Bins,
+        residuals: &[f32],
+        cuts: &[Vec<f32>],
+        features: &[u32],
+        f: impl FnOnce(&mut TreeBuilder<'_>) -> R,
+    ) -> R {
+        let config = GbdtConfig {
+            min_samples_leaf: 1,
+            ..GbdtConfig::default()
+        };
+        let pool = ThreadPool::new(1);
+        let inv: Vec<f64> = (0..=residuals.len())
+            .map(|k| 1.0 / (k as f64 + 1.0))
+            .collect();
+        let mut builder = TreeBuilder {
+            config: &config,
+            pool: &pool,
+            layout: Layout::new(features, cuts),
+            residuals,
+            bins,
+            inv: &inv,
+            spare: Vec::new(),
+        };
+        f(&mut builder)
+    }
+
+    /// Random binned data: `n_bins[f]` bins for feature `f` (1 = constant),
+    /// with residuals `k / 2¹⁰` for integer `|k| ≤ 2²⁰` — dyadic, so every
+    /// partial sum of at most a few thousand of them is exact in `f64`.
+    fn dyadic_problem(n: usize, n_bins: &[usize], seed: u64) -> (Bins, Vec<f32>, Vec<Vec<f32>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = n_bins.len();
+        let mut data = vec![0u8; n * cols];
+        for row in data.chunks_mut(cols) {
+            for (b, &nb) in row.iter_mut().zip(n_bins) {
+                *b = rng.gen_range(0..nb as u32) as u8;
+            }
+        }
+        let residuals = (0..n)
+            .map(|_| rng.gen_range(0..(1u32 << 21) + 1) as f32 - (1u32 << 20) as f32)
+            .map(|k| k / 1024.0)
+            .collect();
+        let cuts = n_bins
+            .iter()
+            .map(|&nb| (1..nb).map(|c| c as f32).collect())
+            .collect();
+        (Bins { cols, data }, residuals, cuts)
+    }
+
+    /// Build `rows`' histogram directly.
+    fn direct(builder: &mut TreeBuilder<'_>, rows: &[u32]) -> Hist {
+        let mut h = builder.hist();
+        let side = builder.side(rows, false, false);
+        builder.pass((&side, &mut h), None);
+        h
+    }
+
+    #[test]
+    fn derived_histograms_match_direct_builds() {
+        // Constant, 2-, 3- and 256-bin features; children from empty to
+        // the whole parent.
+        let n_bins = [1, 2, 3, 256, 17, 1, 256, 64];
+        let features: Vec<u32> = (0..n_bins.len() as u32).rev().collect();
+        for seed in 0..6 {
+            let n = 300;
+            let (bins, residuals, cuts) = dyadic_problem(n, &n_bins, seed);
+            with_builder(&bins, &residuals, &cuts, &features, |b| {
+                let mut rng = StdRng::seed_from_u64(seed + 100);
+                let parent_rows: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.8)).collect();
+                for keep in [0.0, 0.1, 0.5, 1.0] {
+                    let (small, large): (Vec<u32>, Vec<u32>) =
+                        parent_rows.iter().partition(|_| rng.gen_bool(keep));
+                    let mut parent = direct(b, &parent_rows);
+                    let mut small_hist = b.hist();
+                    let s = b.side(&small, false, false);
+                    let l = b.side(&large, true, false);
+                    b.pass((&s, &mut small_hist), Some((&l, &mut parent)));
+                    let want = direct(b, &large);
+                    assert_eq!(parent.cnt, want.cnt, "counts, seed {seed} keep {keep}");
+                    assert_eq!(parent.sum, want.sum, "sums, seed {seed} keep {keep}");
+                    assert_eq!(small_hist.cnt, direct(b, &small).cnt);
+                }
+            });
+        }
+    }
+
+    /// Exhaustive reference scan: every threshold of every feature, exact
+    /// gain, strict `>` in feature-list order then bin order.
+    fn reference_split(b: &TreeBuilder<'_>, h: &Hist, node: &Side<'_>) -> Option<Split> {
+        let lambda = b.config.lambda as f64;
+        let min_child = b.config.min_samples_leaf;
+        let mut best = None;
+        for (i, &f) in b.layout.features.iter().enumerate() {
+            let (lo, hi) = (b.layout.offsets[i], b.layout.offsets[i + 1]);
+            let (mut ls, mut lc) = (0.0f64, 0u32);
+            for t in lo..hi.saturating_sub(1) {
+                ls += h.sum[t];
+                lc += h.cnt[t];
+                let rc = node.rows.len() as u32 - lc;
+                if (lc as usize) < min_child || (rc as usize) < min_child {
+                    continue;
+                }
+                let rs = node.total - ls;
+                let gain =
+                    ls * ls / (lc as f64 + lambda) + rs * rs / (rc as f64 + lambda) - node.score;
+                if gain > 1e-9 {
+                    keep_better(&mut best, (gain, f, (t - lo) as u8));
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn pruned_scan_matches_the_exhaustive_scan() {
+        let n_bins = [3, 64, 2, 256, 1, 3, 9];
+        let features: Vec<u32> = vec![6, 0, 3, 1, 4, 2, 5];
+        for seed in 0..20 {
+            let n = 40 + 20 * seed as usize;
+            let (bins, mut residuals, cuts) = dyadic_problem(n, &n_bins, seed);
+            if seed % 2 == 1 {
+                // Non-dyadic residuals as well.
+                residuals.iter_mut().for_each(|r| *r = (*r * 0.37).sin());
+            }
+            with_builder(&bins, &residuals, &cuts, &features, |b| {
+                let rows: Vec<u32> = (0..n as u32).collect();
+                let mut h = b.hist();
+                let side = b.side(&rows, false, true);
+                let (got, _) = b.pass((&side, &mut h), None);
+                assert_eq!(got, reference_split(b, &h, &side), "seed {seed}");
+            });
+        }
+    }
+
+    #[test]
+    fn pruned_scan_keeps_near_ties() {
+        // Feature `k` bins the residual plus noise that shrinks with `k`,
+        // so along the feature list each best split edges out the last by
+        // a small margin — exactly where a loose pruning bound would skip
+        // the winner.
+        let (n, nf, nb) = (400usize, 48usize, 32usize);
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let residuals: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+            let mut data = vec![0u8; n * nf];
+            for (r, row) in data.chunks_mut(nf).enumerate() {
+                for (k, b) in row.iter_mut().enumerate() {
+                    let noise = (rng.gen::<f32>() * 2.0 - 1.0) * (1.0 - k as f32 / nf as f32);
+                    let v = (residuals[r] + noise + 2.0) / 4.0;
+                    *b = ((v * nb as f32) as usize).min(nb - 1) as u8;
+                }
+            }
+            let bins = Bins { cols: nf, data };
+            let cuts: Vec<Vec<f32>> = (0..nf)
+                .map(|_| (1..nb).map(|c| c as f32).collect())
+                .collect();
+            let features: Vec<u32> = (0..nf as u32).collect();
+            with_builder(&bins, &residuals, &cuts, &features, |b| {
+                let rows: Vec<u32> = (0..n as u32).collect();
+                let mut h = b.hist();
+                let side = b.side(&rows, false, true);
+                let (got, _) = b.pass((&side, &mut h), None);
+                assert_eq!(got, reference_split(b, &h, &side), "seed {seed}");
+            });
+        }
+    }
+
+    #[test]
+    fn duplicated_column_splits_on_the_lower_index() {
+        let (x, y) = toy_problem(400);
+        // Columns: a, b, a — the copy of `a` ties with it at every split.
+        let rows: Vec<Vec<f32>> = (0..x.rows())
+            .map(|r| vec![x.get(r, 0), x.get(r, 1), x.get(r, 0)])
+            .collect();
+        let mut gb = Gbdt::new(GbdtConfig {
+            n_trees: 10,
+            ..GbdtConfig::default()
+        });
+        gb.fit(&Matrix::from_rows(&rows), &y);
+        let used: Vec<u32> = gb
+            .trees
+            .iter()
+            .flat_map(|t| &t.nodes)
+            .filter_map(|n| match n {
+                Node::Split { feature, .. } => Some(*feature),
+                Node::Leaf(_) => None,
+            })
+            .collect();
+        assert!(used.contains(&0), "{used:?}");
+        assert!(
+            !used.contains(&2),
+            "the later duplicate won a tie: {used:?}"
+        );
+    }
+
+    #[test]
+    fn threshold_sits_at_the_lowest_bin_before_empty_bins() {
+        // Values 0..4 and 10..14 with nothing in between: bins 5..=9 of a
+        // cut at every integer are empty, and every threshold from bin 4
+        // to bin 9 makes the same split. The earliest one must win.
+        let n_bins = [16usize];
+        let mut data = Vec::new();
+        let mut residuals = Vec::new();
+        for v in (0u8..5).chain(10..15) {
+            for _ in 0..4 {
+                data.push(v);
+                residuals.push(if v < 5 { -1.0 } else { 1.0 });
+            }
+        }
+        let bins = Bins { cols: 1, data };
+        let cuts: Vec<Vec<f32>> = n_bins
+            .iter()
+            .map(|&nb| (1..nb).map(|c| c as f32).collect())
+            .collect();
+        with_builder(&bins, &residuals, &cuts, &[0], |b| {
+            let rows: Vec<u32> = (0..residuals.len() as u32).collect();
+            let mut h = b.hist();
+            let side = b.side(&rows, false, true);
+            let (got, _) = b.pass((&side, &mut h), None);
+            assert_eq!(got.map(|s| (s.1, s.2)), Some((0, 4)));
+        });
     }
 
     #[test]

@@ -65,27 +65,45 @@ fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 #[test]
 fn gbdt_bytes_identical_across_thread_counts() {
+    // The fixture tiled 16× (≈4.3k rows): large enough that the root and
+    // upper-level split passes fan out over pool tasks even with half
+    // the columns sampled, and that residual updates run in row chunks.
     let (x, y) = fixture();
-    let train = |threads: usize| {
-        at_threads(threads, || {
-            let mut gb = Gbdt::new(GbdtConfig {
-                n_trees: 12,
-                min_samples_leaf: 3,
-                max_leaves: 32,
-                seed: 5,
-                ..GbdtConfig::default()
-            });
-            gb.fit(&x, &y);
-            gbdt_to_bytes(&gb)
-        })
+    let tiles = 16;
+    let data: Vec<f32> = (0..tiles).flat_map(|_| x.data().iter().copied()).collect();
+    let x = Matrix::from_vec(x.rows() * tiles, x.cols(), data);
+    let y: Vec<f32> = (0..tiles).flat_map(|_| y.iter().copied()).collect();
+    let base = GbdtConfig {
+        n_trees: 12,
+        min_samples_leaf: 3,
+        max_leaves: 32,
+        seed: 5,
+        ..GbdtConfig::default()
     };
-    let reference = train(1);
-    for threads in [2, 8] {
-        assert_eq!(
-            train(threads),
-            reference,
-            "GBDT bytes diverged at {threads} threads"
-        );
+    // colsample 0.5 gives every tree its own shuffled histogram layout.
+    for cfg in [
+        base.clone(),
+        GbdtConfig {
+            colsample: 0.5,
+            ..base
+        },
+    ] {
+        let train = |threads: usize| {
+            at_threads(threads, || {
+                let mut gb = Gbdt::new(cfg.clone());
+                gb.fit(&x, &y);
+                gbdt_to_bytes(&gb)
+            })
+        };
+        let reference = train(1);
+        for threads in [2, 8] {
+            assert_eq!(
+                train(threads),
+                reference,
+                "GBDT bytes diverged at {threads} threads (colsample {})",
+                cfg.colsample
+            );
+        }
     }
 }
 
