@@ -13,11 +13,16 @@
 //!   → inverse-scaling pipelines the estimator batch path composes.
 //! * `mlp_reference` / `mlp_compiled` — MLP forward, matmul reference vs
 //!   compiled scratch kernels (SIMD if the host has AVX2+FMA).
+//! * `complex_featurize` / `complex_featurize_binned` — the two arena
+//!   builds again, for the complex QFT (Algorithm 2) on the forest mixed
+//!   workload, binned by a GB model trained on it.
 //!
 //! Hard gates (non-zero exit):
 //!
 //! * GBDT compiled predictions — both traversal modes — must be
 //!   **bit-identical** to the reference walk.
+//! * The complex QFT's fused featurize-and-bin path must give, on every
+//!   mixed test query, exactly the bins of featurize-then-`bin_row`.
 //! * MLP compiled predictions must match the reference within 1e-4
 //!   relative tolerance.
 //! * Neither compiled pipeline may be slower than its reference.
@@ -28,7 +33,9 @@ use std::time::{Duration, Instant};
 
 use qfe_bench::envs::ForestEnv;
 use qfe_bench::trainers::{make_featurizer, QftKind};
-use qfe_core::featurize::{AttributeSpace, BinnedFeatureMatrix, FeatureMatrix};
+use qfe_core::featurize::{
+    AttributeSpace, BinnedFeatureMatrix, FeatureBinner, FeatureMatrix, Featurizer,
+};
 use qfe_core::{Query, TableId};
 use qfe_ml::gbdt::{Gbdt, GbdtConfig};
 use qfe_ml::matrix::Matrix;
@@ -53,6 +60,50 @@ fn measure(per_iter: usize, budget: Duration, mut f: impl FnMut()) -> f64 {
     total / (iters as f64 * per_iter as f64)
 }
 
+/// Train the GB configuration measured here; returns the model, its
+/// training matrix, the label scaler and the scaled labels.
+fn train_gb(
+    featurizer: &dyn Featurizer,
+    queries: &[Query],
+    cardinalities: &[f64],
+    n_trees: usize,
+) -> (Gbdt, Matrix, LogScaler, Vec<f32>) {
+    let mut gb = Gbdt::new(GbdtConfig {
+        n_trees,
+        min_samples_leaf: 3,
+        max_leaves: 64,
+        ..GbdtConfig::default()
+    });
+    let (rows, cols, data, _) = FeatureMatrix::build(featurizer, queries).into_raw();
+    let x_train = Matrix::from_vec(rows, cols, data);
+    let scaler = LogScaler::fit(cardinalities).expect("labels scale");
+    let y_train = scaler.transform_batch(cardinalities);
+    gb.try_fit(&x_train, &y_train).expect("GB fit");
+    (gb, x_train, scaler, y_train)
+}
+
+/// Queries whose fused featurize-and-bin output differs from the default
+/// featurize-then-`bin_row` composition (value or error).
+fn fused_bin_mismatches(
+    featurizer: &dyn Featurizer,
+    binner: &FeatureBinner,
+    queries: &[Query],
+) -> usize {
+    let dim = featurizer.dim();
+    let (mut row, mut scratch) = (vec![0.0f32; dim], vec![0.0f32; dim]);
+    let (mut composed, mut fused) = (vec![0u16; dim], vec![0u16; dim]);
+    queries
+        .iter()
+        .filter(|query| {
+            let a = featurizer
+                .featurize_into(query, &mut row)
+                .map(|()| binner.bin_row(&row, &mut composed));
+            let b = featurizer.featurize_binned_into(query, binner, &mut scratch, &mut fused);
+            a != b || (a.is_ok() && composed != fused)
+        })
+        .count()
+}
+
 fn main() {
     let scale = qfe_bench::Scale::from_env();
     eprintln!("building forest environment at scale '{}'…", scale.label);
@@ -63,21 +114,15 @@ fn main() {
         .collect();
 
     let space = AttributeSpace::for_table(env.db.catalog(), TableId(0));
-    let featurizer = make_featurizer(QftKind::Conjunctive, space, 64, true);
+    let featurizer = make_featurizer(QftKind::Conjunctive, space.clone(), 64, true);
 
     eprintln!("training GB on the forest workload…");
-    let mut gb = Gbdt::new(GbdtConfig {
-        n_trees: scale.gbdt_trees,
-        min_samples_leaf: 3,
-        max_leaves: 64,
-        ..GbdtConfig::default()
-    });
-    let (rows, cols, data, _) =
-        FeatureMatrix::build(featurizer.as_ref(), &env.conj_train.queries).into_raw();
-    let x_train = Matrix::from_vec(rows, cols, data);
-    let scaler = LogScaler::fit(&env.conj_train.cardinalities).expect("labels scale");
-    let y_train = scaler.transform_batch(&env.conj_train.cardinalities);
-    gb.try_fit(&x_train, &y_train).expect("GB fit");
+    let (gb, x_train, scaler, y_train) = train_gb(
+        featurizer.as_ref(),
+        &env.conj_train.queries,
+        &env.conj_train.cardinalities,
+        scale.gbdt_trees,
+    );
     let binner = gb.feature_binner().expect("trained GB compiles");
     let active = (0..binner.features())
         .filter(|&f| !binner.cuts(f).is_empty())
@@ -195,6 +240,40 @@ fn main() {
         std::hint::black_box(mlp.predict_batch(&x_batch));
     });
 
+    // ── The complex QFT on the mixed workload: gate, then the arenas. ──
+    let complex = make_featurizer(QftKind::Complex, space, 64, true);
+    eprintln!("training GB on the forest mixed workload…");
+    let (gb_complex, ..) = train_gb(
+        complex.as_ref(),
+        &env.mixed_train.queries,
+        &env.mixed_train.cardinalities,
+        scale.gbdt_trees,
+    );
+    let complex_binner = gb_complex.feature_binner().expect("trained GB compiles");
+    let mismatches =
+        fused_bin_mismatches(complex.as_ref(), complex_binner, &env.mixed_test.queries);
+    if mismatches > 0 {
+        eprintln!("GATE FAILED: complex fused bins diverged from featurize-then-bin on {mismatches} queries");
+        std::process::exit(1);
+    }
+    eprintln!(
+        "complex gate: fused bins equal featurize-then-bin on {} mixed queries",
+        env.mixed_test.queries.len()
+    );
+    let mixed_batch: Vec<Query> = (0..BATCH)
+        .map(|i| env.mixed_test.queries[i % env.mixed_test.queries.len()].clone())
+        .collect();
+    let complex_featurize = measure(BATCH, budget, || {
+        let m = FeatureMatrix::build(complex.as_ref(), &mixed_batch);
+        assert_eq!(m.ok_rows(), BATCH);
+        std::hint::black_box(m);
+    });
+    let complex_featurize_binned = measure(BATCH, budget, || {
+        let m = BinnedFeatureMatrix::build(complex.as_ref(), complex_binner, &mixed_batch);
+        assert_eq!(m.ok_rows(), BATCH);
+        std::hint::black_box(m);
+    });
+
     let gbdt_speedup = pipeline_reference / pipeline_compiled;
     let mlp_speedup = mlp_reference / mlp_compiled_us;
     println!(
@@ -213,14 +292,26 @@ fn main() {
     );
     println!("  mlp reference      {mlp_reference:>9.2} µs/query");
     println!("  mlp compiled       {mlp_compiled_us:>9.2} µs/query   speedup {mlp_speedup:>5.2}×");
+    println!("  complex featurize  {complex_featurize:>9.2} µs/query   (forest mixed)");
+    println!("  complex feat+bin   {complex_featurize_binned:>9.2} µs/query   (forest mixed)");
+
+    // Timings are only comparable across runs on similar hardware; the
+    // record names the host it was taken on.
+    let cores = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    let environment = format!(
+        "{cores}-core host: µs/query timings are comparable only across runs on this class of machine; the equivalence gates are hardware-independent"
+    );
 
     let json = format!(
         "{{\"workload\":\"forest-conjunctive\",\"scale\":\"{}\",\"batch_size\":{BATCH},\
-\"fma\":{},\"simd_active\":{},\
+\"cores\":{cores},\"environment\":\"{environment}\",\"fma\":{},\"simd_active\":{},\
 \"featurize_us\":{featurize:.3},\"featurize_binned_us\":{featurize_binned:.3},\"quantize_us\":{quantize:.3},\
 \"walk_reference_us\":{walk_reference:.3},\"walk_compiled_us\":{walk_compiled:.3},\"walk_binned_us\":{walk_binned:.3},\
 \"pipeline_reference_us\":{pipeline_reference:.3},\"pipeline_compiled_us\":{pipeline_compiled:.3},\"gbdt_speedup\":{gbdt_speedup:.2},\
-\"mlp_reference_us\":{mlp_reference:.3},\"mlp_compiled_us\":{mlp_compiled_us:.3},\"mlp_speedup\":{mlp_speedup:.2}}}\n",
+\"mlp_reference_us\":{mlp_reference:.3},\"mlp_compiled_us\":{mlp_compiled_us:.3},\"mlp_speedup\":{mlp_speedup:.2},\
+\"complex_workload\":\"forest-mixed\",\"complex_featurize_us\":{complex_featurize:.3},\"complex_featurize_binned_us\":{complex_featurize_binned:.3}}}\n",
         scale.label,
         fma_available(),
         mlp_simd_active(),

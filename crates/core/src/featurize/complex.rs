@@ -10,20 +10,36 @@
 //! vectors are then merged by **entry-wise max**, which directly resembles
 //! the semantics of OR — additional disjuncts make a query only *less*
 //! selective. Compound predicates need not be in CNF/DNF: we normalize
-//! arbitrary AND/OR trees via [`crate::predicate::PredicateExpr::to_dnf`].
+//! arbitrary AND/OR trees via [`crate::predicate::PredicateExpr::to_dnf`]'s
+//! borrowed-leaf form.
 //!
 //! The per-attribute selectivity entry (when enabled) is the exact
 //! uniformity-assumption selectivity of the *union* of the disjunct
 //! regions, computed by [`crate::interval::RegionSet`] — entry-wise max
 //! would overestimate it, and summing disjunct selectivities would double
-//! count overlaps.
+//! count overlaps. A single-term attribute (every pure conjunction) takes
+//! [`crate::interval::Region::selectivity`], bit-identical to the
+//! one-region set.
+//!
+//! Each attribute's DNF is expanded over leaves borrowed from the query
+//! into one per-query scratch, which also holds the max-merge buffer and
+//! the disjunct regions. When the query predicates each attribute at most
+//! once (Definition 3.3's shape) the expressions are read in place and no
+//! predicate is cloned; only a query repeating an attribute is merged
+//! through `group_by_column`. The same shape gets a fused
+//! [`Featurizer::featurize_binned_into`] that copies the binner's all-ones
+//! template and re-bins only the predicated segments, as the conjunctive
+//! QFT does; a repeated-attribute query encodes the full row and bins it.
 
 use crate::error::QfeError;
-use crate::featurize::conjunctive::featurize_conjunct_into;
+use crate::featurize::conjunctive::{
+    bin_predicated_segments, distinct_columns, featurize_conjunct_into,
+};
 use crate::featurize::space::AttributeSpace;
-use crate::featurize::{group_by_column, FeatureVec, Featurizer};
-use crate::interval::RegionSet;
-use crate::query::Query;
+use crate::featurize::{group_by_column, FeatureBinner, FeatureVec, Featurizer};
+use crate::interval::{Region, RegionSet};
+use crate::predicate::{DnfTerms, PredicateExpr};
+use crate::query::{ColumnRef, Query};
 
 /// The `complex` QFT: Universal Conjunction Encoding per disjunct, merged
 /// by entry-wise max (Algorithm 2).
@@ -98,52 +114,99 @@ impl LimitedDisjunctionEncoding {
     }
 
     /// Encoding core shared by the allocating and in-place paths: fills
-    /// `out` (length `dim()`) via the precomputed offsets. The first
-    /// disjunct of each attribute encodes straight into the output slot;
-    /// only additional disjuncts touch the (call-local, reused) scratch
-    /// buffer for the entry-wise max merge of Algorithm 2.
+    /// `out` (length `dim()`) via the precomputed offsets.
     fn encode_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {
         out.fill(1.0);
-        let mut scratch: Vec<f32> = Vec::new();
-        for (col, expr) in group_by_column(query) {
-            let Some(pos) = self.space.position(col) else {
-                return Err(QfeError::InvalidQuery(format!(
-                    "predicate on attribute outside the featurizer's space: table {} column {}",
-                    col.table.0, col.column.0
-                )));
-            };
-            let domain = self.space.domain(pos);
-            let n_a = domain.bucket_count(self.max_buckets);
-            let start = self.offsets[pos];
-            // Algorithm 2 line 3: start from an all-zero vector V …
-            let slot = &mut out[start..start + n_a];
-            slot.fill(0.0);
-            let mut regions = Vec::new();
-            // … line 4: for each disjunct d of the compound predicate …
-            for conjunct in expr.to_dnf()? {
-                // … line 5: featurize d with Algorithm 1, line 6: merge by
-                // entry-wise max (the first disjunct writes directly: its
-                // entries are all >= 0, the slot's starting value).
-                if regions.is_empty() {
-                    let region = featurize_conjunct_into(&conjunct, domain, slot, self.ternary)?;
-                    regions.push(region);
-                } else {
-                    scratch.resize(n_a, 0.0);
-                    let scratch = &mut scratch[..n_a];
-                    let region = featurize_conjunct_into(&conjunct, domain, scratch, self.ternary)?;
-                    for (m, e) in slot.iter_mut().zip(scratch.iter()) {
-                        *m = m.max(*e);
-                    }
-                    regions.push(region);
-                }
-            }
-            if self.attr_sel {
-                let sel = RegionSet::new(regions).selectivity(domain);
-                out[start + n_a] = sel as f32;
-            }
+        if distinct_columns(query) {
+            return self.encode_attrs(query.predicates.iter().map(|cp| (cp.column, &cp.expr)), out);
+        }
+        let grouped = group_by_column(query);
+        self.encode_attrs(grouped.iter().map(|(col, expr)| (*col, expr)), out)
+    }
+
+    /// Encode each `(attribute, expression)` into its segment of `out`,
+    /// sharing one scratch.
+    fn encode_attrs<'q>(
+        &self,
+        attrs: impl Iterator<Item = (ColumnRef, &'q PredicateExpr)>,
+        out: &mut [f32],
+    ) -> Result<(), QfeError> {
+        let mut scratch = Scratch::default();
+        for (col, expr) in attrs {
+            let pos = self.space.position_checked(col)?;
+            let seg = &mut out[self.offsets[pos]..self.offsets[pos + 1]];
+            self.encode_attr(pos, expr, seg, &mut scratch)?;
         }
         Ok(())
     }
+
+    /// Algorithm 2 for one attribute: `seg` holds its buckets plus the
+    /// selectivity slot if enabled.
+    fn encode_attr<'q>(
+        &self,
+        pos: usize,
+        expr: &'q PredicateExpr,
+        seg: &mut [f32],
+        scratch: &mut Scratch<'q>,
+    ) -> Result<(), QfeError> {
+        let Scratch {
+            dnf,
+            merge,
+            regions,
+        } = scratch;
+        // Line 2: split the compound predicate into its disjuncts.
+        expr.dnf_into(dnf)?;
+        let domain = self.space.domain(pos);
+        let n_a = domain.bucket_count(self.max_buckets);
+        let (buckets, sel_slot) = seg.split_at_mut(n_a);
+        let n_terms = dnf.len();
+        if n_terms == 0 {
+            // No disjunct (an `Or([])` inside): unsatisfiable, line 3's
+            // all-zero vector stays.
+            buckets.fill(0.0);
+            if self.attr_sel {
+                sel_slot[0] = 0.0;
+            }
+            return Ok(());
+        }
+        // Lines 4–6: featurize each disjunct with Algorithm 1 and merge by
+        // entry-wise max. The first disjunct writes straight into the
+        // slot: its entries are all >= 0, so merging it into line 3's
+        // zeros would change nothing.
+        regions.resize_with(n_terms, Region::empty);
+        merge.resize(n_a, 0.0);
+        for (k, (term, region)) in dnf.iter().zip(regions.iter_mut()).enumerate() {
+            let term = term.iter().copied();
+            if k == 0 {
+                featurize_conjunct_into(term, domain, buckets, self.ternary, region)?;
+            } else {
+                featurize_conjunct_into(term, domain, merge, self.ternary, region)?;
+                for (m, e) in buckets.iter_mut().zip(merge.iter()) {
+                    *m = m.max(*e);
+                }
+            }
+        }
+        if self.attr_sel {
+            sel_slot[0] = if n_terms == 1 {
+                regions[0].selectivity(domain)
+            } else {
+                let set = RegionSet::new(std::mem::take(regions));
+                let sel = set.selectivity(domain);
+                *regions = set.into_regions();
+                sel
+            } as f32;
+        }
+        Ok(())
+    }
+}
+
+/// Per-query scratch of the encoder: the borrowed DNF of the attribute
+/// being encoded, the max-merge buffer and the disjunct regions.
+#[derive(Default)]
+struct Scratch<'q> {
+    dnf: DnfTerms<'q>,
+    merge: Vec<f32>,
+    regions: Vec<Region>,
 }
 
 impl Featurizer for LimitedDisjunctionEncoding {
@@ -165,14 +228,40 @@ impl Featurizer for LimitedDisjunctionEncoding {
         crate::featurize::check_out_len(self.dim(), out.len())?;
         self.encode_into(query, out)
     }
+
+    fn featurize_binned_into(
+        &self,
+        query: &Query,
+        binner: &FeatureBinner,
+        scratch: &mut [f32],
+        out: &mut [u16],
+    ) -> Result<(), QfeError> {
+        crate::featurize::check_out_len(self.dim(), out.len())?;
+        crate::featurize::check_out_len(self.dim(), binner.features())?;
+        crate::featurize::check_out_len(self.dim(), scratch.len())?;
+        if !distinct_columns(query) {
+            self.encode_into(query, scratch)?;
+            binner.bin_row(scratch, out);
+            return Ok(());
+        }
+        let mut attr_scratch = Scratch::default();
+        bin_predicated_segments(
+            query,
+            &self.space,
+            &self.offsets,
+            binner,
+            scratch,
+            out,
+            |pos, expr, seg| self.encode_attr(pos, expr, seg, &mut attr_scratch),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::featurize::UniversalConjunctionEncoding;
-    use crate::predicate::{CmpOp, CompoundPredicate, PredicateExpr, SimplePredicate};
-    use crate::query::ColumnRef;
+    use crate::predicate::{CmpOp, CompoundPredicate, SimplePredicate};
     use crate::schema::{AttributeDomain, ColumnId, TableId};
 
     /// Attributes A [-9, 50], B [0, 115], C in {1, 2} — the Section 3.3

@@ -25,7 +25,7 @@ use crate::error::QfeError;
 use crate::featurize::space::AttributeSpace;
 use crate::featurize::{group_by_column, FeatureVec, Featurizer};
 use crate::interval::Region;
-use crate::predicate::{CmpOp, SimplePredicate};
+use crate::predicate::{CmpOp, PredicateExpr, SimplePredicate};
 use crate::query::Query;
 use crate::schema::AttributeDomain;
 
@@ -149,7 +149,7 @@ impl UniversalConjunctionEncoding {
         if distinct_columns(query) {
             let mut leaves = Vec::new();
             for cp in &query.predicates {
-                let pos = self.position_of(cp.column)?;
+                let pos = self.space.position_checked(cp.column)?;
                 leaves.clear();
                 self.encode_attr_in(
                     pos,
@@ -161,7 +161,7 @@ impl UniversalConjunctionEncoding {
             return Ok(());
         }
         for (col, expr) in group_by_column(query) {
-            let pos = self.position_of(col)?;
+            let pos = self.space.position_checked(col)?;
             self.encode_attr(
                 pos,
                 &expr,
@@ -171,23 +171,13 @@ impl UniversalConjunctionEncoding {
         Ok(())
     }
 
-    /// Layout position of `col`, or the typed out-of-space error.
-    fn position_of(&self, col: crate::query::ColumnRef) -> Result<usize, QfeError> {
-        self.space.position(col).ok_or_else(|| {
-            QfeError::InvalidQuery(format!(
-                "predicate on attribute outside the featurizer's space: table {} column {}",
-                col.table.0, col.column.0
-            ))
-        })
-    }
-
     /// Encode one attribute's merged predicate expression into its segment
     /// of the feature vector (`seg` has length `buckets_of(pos)` plus the
     /// selectivity slot if enabled).
     pub(crate) fn encode_attr(
         &self,
         pos: usize,
-        expr: &crate::predicate::PredicateExpr,
+        expr: &PredicateExpr,
         seg: &mut [f32],
     ) -> Result<(), QfeError> {
         self.encode_attr_in(pos, expr, seg, &mut Vec::new())
@@ -198,7 +188,7 @@ impl UniversalConjunctionEncoding {
     fn encode_attr_in<'q>(
         &self,
         pos: usize,
-        expr: &'q crate::predicate::PredicateExpr,
+        expr: &'q PredicateExpr,
         seg: &mut [f32],
         leaves: &mut Vec<&'q SimplePredicate>,
     ) -> Result<(), QfeError> {
@@ -219,8 +209,9 @@ impl UniversalConjunctionEncoding {
         // none of the expansion's per-attribute allocations.
         leaves.clear();
         if expr.conjunct_leaf_refs(leaves) {
-            let region =
-                featurize_conjunct_into(leaves.iter().copied(), domain, buckets, self.ternary)?;
+            let mut region = Region::empty();
+            let preds = leaves.iter().copied();
+            featurize_conjunct_into(preds, domain, buckets, self.ternary, &mut region)?;
             if self.attr_sel {
                 sel_slot[0] = region.selectivity(domain) as f32;
             }
@@ -239,7 +230,7 @@ impl UniversalConjunctionEncoding {
 /// Whether every compound predicate names a different attribute
 /// (Definition 3.3's shape) — the precondition for the by-reference
 /// encoding paths that skip `group_by_column`'s merging clones.
-fn distinct_columns(query: &Query) -> bool {
+pub(crate) fn distinct_columns(query: &Query) -> bool {
     query.predicates.iter().enumerate().all(|(i, cp)| {
         query.predicates[..i]
             .iter()
@@ -259,20 +250,23 @@ pub(crate) fn featurize_conjunct(
     ternary: bool,
 ) -> Result<(Vec<f32>, Region), QfeError> {
     let mut v = vec![1.0f32; n_a];
-    let region = featurize_conjunct_into(preds, domain, &mut v, ternary)?;
+    let mut region = Region::empty();
+    featurize_conjunct_into(preds, domain, &mut v, ternary, &mut region)?;
     Ok((v, region))
 }
 
 /// In-place variant of [`featurize_conjunct`]: encodes into `out` (whose
-/// length is the attribute's bucket count `n_a`) without allocating the
-/// bucket vector. Used by the batched arena path. Generic over borrowed
-/// predicates so the zero-clone leaf-reference path shares it.
+/// length is the attribute's bucket count `n_a`) and `region` without
+/// allocating the bucket vector, reusing the region's storage. Used by the
+/// batched arena path. Generic over borrowed predicates so the zero-clone
+/// leaf-reference paths share it.
 pub(crate) fn featurize_conjunct_into<'a, I>(
     preds: I,
     domain: &AttributeDomain,
     out: &mut [f32],
     ternary: bool,
-) -> Result<Region, QfeError>
+    region: &mut Region,
+) -> Result<(), QfeError>
 where
     I: IntoIterator<Item = &'a SimplePredicate> + Clone,
 {
@@ -281,7 +275,8 @@ where
     featurize_conjunct_buckets_into(preds.clone(), out, exact, ternary, &|val| {
         domain.bucket_of(val, n_a)
     })?;
-    Ok(Region::from_conjunct(preds, domain))
+    region.set_conjunct(preds, domain);
+    Ok(())
 }
 
 /// The bucket-update core of Algorithm 1, generic over the bucket mapping
@@ -404,23 +399,46 @@ impl Featurizer for UniversalConjunctionEncoding {
             binner.bin_row(scratch, out);
             return Ok(());
         }
-        // Fused fast path: unpredicated attributes hold the constant
-        // all-ones default, so their bins come straight off the binner's
-        // precomputed template; only predicated segments are encoded
-        // (into their slice of `scratch`) and re-binned value by value.
-        // `bin_value` is `bin_row`'s kernel, so the bits match the
-        // default encode-then-bin composition exactly.
-        binner.bin_ones_into(out);
         let mut leaves = Vec::new();
-        for cp in &query.predicates {
-            let pos = self.position_of(cp.column)?;
-            let range = self.offsets[pos]..self.offsets[pos + 1];
-            leaves.clear();
-            self.encode_attr_in(pos, &cp.expr, &mut scratch[range.clone()], &mut leaves)?;
-            binner.bin_span(range.start, &scratch[range.clone()], &mut out[range]);
-        }
-        Ok(())
+        bin_predicated_segments(
+            query,
+            &self.space,
+            &self.offsets,
+            binner,
+            scratch,
+            out,
+            |pos, expr, seg| {
+                leaves.clear();
+                self.encode_attr_in(pos, expr, seg, &mut leaves)
+            },
+        )
     }
+}
+
+/// Fused featurize-and-bin of a query with distinct columns, shared by the
+/// conjunctive and complex QFTs: unpredicated attributes hold the constant
+/// all-ones default, so their bins come straight off the binner's
+/// precomputed template; only predicated segments are encoded (by
+/// `encode_seg(pos, expr, seg)`, into their slice of `scratch`) and
+/// re-binned value by value. `bin_span` runs `bin_row`'s kernel, so the
+/// bits match the default encode-then-bin composition exactly.
+pub(crate) fn bin_predicated_segments<'q>(
+    query: &'q Query,
+    space: &AttributeSpace,
+    offsets: &[usize],
+    binner: &crate::featurize::FeatureBinner,
+    scratch: &mut [f32],
+    out: &mut [u16],
+    mut encode_seg: impl FnMut(usize, &'q PredicateExpr, &mut [f32]) -> Result<(), QfeError>,
+) -> Result<(), QfeError> {
+    binner.bin_ones_into(out);
+    for cp in &query.predicates {
+        let pos = space.position_checked(cp.column)?;
+        let range = offsets[pos]..offsets[pos + 1];
+        encode_seg(pos, &cp.expr, &mut scratch[range.clone()])?;
+        binner.bin_span(range.start, &scratch[range.clone()], &mut out[range]);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use crate::error::QfeError;
 use crate::query::ColumnRef;
 use crate::schema::{AttributeDomain, Catalog, ColumnId, TableId};
 
@@ -71,6 +72,17 @@ impl AttributeSpace {
     /// Layout position of `column`, if it participates in this space.
     pub fn position(&self, column: ColumnRef) -> Option<usize> {
         self.index.get(&column).copied()
+    }
+
+    /// Layout position of `column`, or the typed error for a predicate on
+    /// an attribute outside this space.
+    pub(crate) fn position_checked(&self, column: ColumnRef) -> Result<usize, QfeError> {
+        self.position(column).ok_or_else(|| {
+            QfeError::InvalidQuery(format!(
+                "predicate on attribute outside the featurizer's space: table {} column {}",
+                column.table.0, column.column.0
+            ))
+        })
     }
 
     /// Domain of the attribute at layout position `pos`.

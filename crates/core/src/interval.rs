@@ -53,28 +53,43 @@ impl Region {
     where
         I: IntoIterator<Item = &'a SimplePredicate>,
     {
-        let mut region = Region::full(domain);
+        let mut region = Region::empty();
+        region.set_conjunct(preds, domain);
+        region
+    }
+
+    /// [`Self::from_conjunct`] in place, reusing this region's storage for
+    /// excluded points.
+    pub(crate) fn set_conjunct<'a, I>(&mut self, preds: I, domain: &AttributeDomain)
+    where
+        I: IntoIterator<Item = &'a SimplePredicate>,
+    {
+        self.lo = domain.min;
+        self.hi = domain.max;
+        self.nots.clear();
         let step = domain.step();
         for p in preds {
             let Some(v) = p.value.as_f64() else {
-                return Region::empty();
+                (self.lo, self.hi) = (1.0, 0.0);
+                self.nots.clear();
+                return;
             };
             match p.op {
                 CmpOp::Eq => {
-                    region.lo = region.lo.max(v);
-                    region.hi = region.hi.min(v);
+                    self.lo = self.lo.max(v);
+                    self.hi = self.hi.min(v);
                 }
-                CmpOp::Ge => region.lo = region.lo.max(v),
-                CmpOp::Gt => region.lo = region.lo.max(v + step),
-                CmpOp::Le => region.hi = region.hi.min(v),
-                CmpOp::Lt => region.hi = region.hi.min(v - step),
-                CmpOp::Ne => region.nots.push(v),
+                CmpOp::Ge => self.lo = self.lo.max(v),
+                CmpOp::Gt => self.lo = self.lo.max(v + step),
+                CmpOp::Le => self.hi = self.hi.min(v),
+                CmpOp::Lt => self.hi = self.hi.min(v - step),
+                CmpOp::Ne => self.nots.push(v),
             }
         }
-        region.nots.retain(|&v| v >= region.lo && v <= region.hi);
-        region.nots.sort_by(f64::total_cmp);
-        region.nots.dedup();
-        region
+        let (lo, hi) = (self.lo, self.hi);
+        self.nots.retain(|&v| v >= lo && v <= hi);
+        self.nots.sort_by(f64::total_cmp);
+        self.nots.dedup();
     }
 
     /// A region containing no values.
@@ -184,6 +199,11 @@ impl RegionSet {
         &self.regions
     }
 
+    /// Take the regions back, e.g. to reuse their vector's allocation.
+    pub(crate) fn into_regions(self) -> Vec<Region> {
+        self.regions
+    }
+
     /// A value qualifies if at least one region contains it.
     pub fn contains(&self, v: f64) -> bool {
         self.regions.iter().any(|r| r.contains(v))
@@ -195,26 +215,31 @@ impl RegionSet {
     /// point excluded by `<>` inside some region only reduces the measure if
     /// *every* region covering it excludes it (OR semantics).
     pub fn measure(&self, domain: &AttributeDomain) -> f64 {
-        let mut intervals: Vec<(f64, f64)> = self
+        let mut merged: Vec<(f64, f64)> = self
             .regions
             .iter()
             .filter(|r| !r.is_empty())
             .map(|r| (r.lo, r.hi))
             .collect();
-        if intervals.is_empty() {
+        if merged.is_empty() {
             return 0.0;
         }
-        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(intervals.len());
-        // For integral domains, intervals [a, b] and [b+1, c] are adjacent
-        // and must merge; for reals only true overlap merges.
+        merged.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Merge in place. For integral domains, intervals [a, b] and
+        // [b+1, c] are adjacent and must merge; for reals only true
+        // overlap merges.
         let glue = if domain.integral { 1.0 } else { 0.0 };
-        for (lo, hi) in intervals {
-            match merged.last_mut() {
-                Some(last) if lo <= last.1 + glue => last.1 = last.1.max(hi),
-                _ => merged.push((lo, hi)),
+        let mut last = 0;
+        for k in 1..merged.len() {
+            let (lo, hi) = merged[k];
+            if lo <= merged[last].1 + glue {
+                merged[last].1 = merged[last].1.max(hi);
+            } else {
+                last += 1;
+                merged[last] = (lo, hi);
             }
         }
+        merged.truncate(last + 1);
         let mut total: f64 = merged
             .iter()
             .map(|&(lo, hi)| {
@@ -227,18 +252,20 @@ impl RegionSet {
             })
             .sum();
         if domain.integral {
-            // Candidate excluded points: nots lying inside the union.
-            let mut candidates: Vec<f64> = self
-                .regions
-                .iter()
-                .flat_map(|r| r.nots.iter().copied())
-                .filter(|&v| merged.iter().any(|&(lo, hi)| v >= lo && v <= hi))
-                .collect();
-            candidates.sort_by(f64::total_cmp);
-            candidates.dedup();
-            for v in candidates {
-                if !self.contains(v) {
-                    total -= 1.0;
+            // Candidate excluded points: nots lying inside the union, each
+            // distinct value once (at its first occurrence). Every
+            // exclusion subtracts the same 1.0, so the order they are
+            // found in cannot change the result.
+            for (i, r) in self.regions.iter().enumerate() {
+                for (k, &v) in r.nots.iter().enumerate() {
+                    let first = !r.nots[..k].contains(&v)
+                        && !self.regions[..i].iter().any(|p| p.nots.contains(&v));
+                    if first
+                        && merged.iter().any(|&(lo, hi)| v >= lo && v <= hi)
+                        && !self.contains(v)
+                    {
+                        total -= 1.0;
+                    }
                 }
             }
         }

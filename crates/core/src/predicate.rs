@@ -7,6 +7,8 @@
 //! [`PredicateExpr::to_dnf`] normalizes them into the
 //! disjunction-of-conjunctions form that Algorithm 2 consumes.
 
+use std::ops::Range;
+
 use crate::error::QfeError;
 use crate::value::Value;
 
@@ -188,78 +190,121 @@ impl PredicateExpr {
     /// a list of simple predicates. This is the `Split(cp, "OR")` step of
     /// Algorithm 2, generalized to arbitrary nesting.
     ///
-    /// Exact duplicate conjunctions (same predicates in the same order) are
-    /// removed — `x = 1 OR x = 1` yields one term — which keeps the output
-    /// stable under input duplication without perturbing term order, so
-    /// featurization of the surviving terms is unchanged.
+    /// Terms come in distribution order: an `Or` concatenates its
+    /// children's terms, an `And` forms the left-major cross product of
+    /// its children's terms. Exact duplicate conjunctions (same
+    /// predicates in the same order) are removed, keeping first
+    /// occurrences — `x = 1 OR x = 1` yields one term — which keeps the
+    /// output stable under input duplication without perturbing term
+    /// order. Reordered conjunctions stay distinct terms: featurization
+    /// is order-sensitive in its ternary marks. Leaves match on operator,
+    /// literal variant and bit pattern, so `5` and `5.0` differ and a NaN
+    /// literal matches itself.
     ///
     /// The expansion is exponential in the worst case; compound predicates
     /// in practice are small (the paper's workloads use at most three
-    /// disjuncts per attribute), and we cap the expansion to guard against
-    /// adversarial inputs. The cap is enforced *during* expansion in the
-    /// `Or` arm — after deduplication, so only distinct terms count — and
-    /// an adversarial input fails before materializing its full blow-up
-    /// rather than after.
+    /// disjuncts per attribute). The cap applies in both arms: an `Or`
+    /// fails with [`QfeError::UnsupportedQuery`] once its distinct terms
+    /// exceed [`MAX_DNF_TERMS`] after any child, an `And` as soon as its
+    /// deduplicated product does. No node holds more than twice the cap,
+    /// so an adversarial input errors long before its full blow-up. An
+    /// `And` with an unsatisfiable child (empty DNF, e.g. `Or([])`) has no
+    /// terms and stops there, without expanding its later children.
+    ///
+    /// This clones the leaves out of the crate's borrowed expansion,
+    /// `dnf_into`, which the featurizers use directly.
     pub fn to_dnf(&self) -> Result<Vec<Vec<SimplePredicate>>, QfeError> {
-        let mut dnf = self.dnf_inner()?;
-        dedup_terms(&mut dnf);
-        if dnf.len() > MAX_DNF_TERMS {
-            return Err(dnf_cap_error());
-        }
-        Ok(dnf)
+        let mut dnf = DnfTerms::default();
+        self.dnf_into(&mut dnf)?;
+        Ok(dnf
+            .iter()
+            .map(|term| term.iter().map(|&p| p.clone()).collect())
+            .collect())
     }
 
-    fn dnf_inner(&self) -> Result<Vec<Vec<SimplePredicate>>, QfeError> {
+    /// [`Self::to_dnf`] over **borrowed** leaves, replacing `dnf`'s
+    /// previous contents: a caller encoding many expressions reuses one
+    /// [`DnfTerms`] and clones nothing.
+    pub(crate) fn dnf_into<'a>(&'a self, dnf: &mut DnfTerms<'a>) -> Result<(), QfeError> {
+        dnf.leaves.clear();
+        dnf.ends.clear();
+        self.expand(dnf)
+    }
+
+    /// Append this node's deduplicated terms to `dnf` (whose stored terms
+    /// belong to enclosing nodes and are left untouched).
+    fn expand<'a>(&'a self, dnf: &mut DnfTerms<'a>) -> Result<(), QfeError> {
         match self {
-            PredicateExpr::Leaf(p) => Ok(vec![vec![p.clone()]]),
+            PredicateExpr::Leaf(p) => {
+                dnf.leaves.push(p);
+                dnf.ends.push(dnf.leaves.len());
+            }
             PredicateExpr::Or(children) => {
-                let mut terms: Vec<Vec<SimplePredicate>> = Vec::new();
-                let mut seen = std::collections::HashSet::new();
+                let base = dnf.ends.len();
+                let mut seen = TermIndex::new(base);
                 for child in children {
-                    for term in child.dnf_inner()? {
-                        if seen.insert(term_key(&term)) {
-                            terms.push(term);
+                    let first = dnf.ends.len();
+                    child.expand(dnf)?;
+                    // Keep the child's terms not seen yet, compacted in
+                    // order behind the node's earlier terms.
+                    let mut write = first;
+                    let mut write_leaf = dnf.start(first);
+                    let mut read_leaf = write_leaf;
+                    for k in first..dnf.ends.len() {
+                        let term = read_leaf..dnf.ends[k];
+                        read_leaf = term.end;
+                        if seen.insert_new(dnf, term.clone(), write) {
+                            dnf.leaves.copy_within(term.clone(), write_leaf);
+                            write_leaf += term.len();
+                            dnf.ends[write] = write_leaf;
+                            write += 1;
                         }
                     }
-                    // Incremental cap: distinct terms so far already
-                    // exceed the budget — fail now instead of expanding
-                    // the remaining disjuncts first.
-                    if terms.len() > MAX_DNF_TERMS {
+                    dnf.ends.truncate(write);
+                    dnf.leaves.truncate(write_leaf);
+                    if write - base > MAX_DNF_TERMS {
                         return Err(dnf_cap_error());
                     }
                 }
-                Ok(terms)
             }
             PredicateExpr::And(children) => {
-                // Cross product of the children's DNFs.
-                let mut acc: Vec<Vec<SimplePredicate>> = vec![vec![]];
-                for child in children {
-                    let child_dnf = child.dnf_inner()?;
-                    let mut next = Vec::with_capacity(acc.len() * child_dnf.len());
-                    for left in &acc {
-                        for right in &child_dnf {
-                            let mut term = left.clone();
-                            term.extend(right.iter().cloned());
-                            next.push(term);
-                        }
+                let base = dnf.ends.len();
+                let base_leaf = dnf.leaves.len();
+                let Some((head, tail)) = children.split_first() else {
+                    // The empty conjunction: one empty term.
+                    dnf.ends.push(base_leaf);
+                    return Ok(());
+                };
+                head.expand(dnf)?;
+                for child in tail {
+                    let first = dnf.ends.len();
+                    if first == base {
+                        // An unsatisfiable child emptied the product.
+                        break;
                     }
-                    dedup_terms(&mut next);
-                    if next.len() > 1 << 20 {
-                        return Err(QfeError::UnsupportedQuery(
-                            "DNF expansion blow-up".to_owned(),
-                        ));
+                    child.expand(dnf)?;
+                    let last = dnf.ends.len();
+                    if last == first {
+                        dnf.ends.truncate(base);
+                        dnf.leaves.truncate(base_leaf);
+                    } else if first - base == 1 && last - first == 1 {
+                        // One term times one term: the child's leaves
+                        // already follow the accumulator's; join them.
+                        dnf.ends[base] = dnf.ends[first];
+                        dnf.ends.truncate(first);
+                    } else {
+                        dnf.product(base, first, last)?;
                     }
-                    acc = next;
                 }
-                Ok(acc)
             }
         }
+        Ok(())
     }
 }
 
-/// Upper bound on DNF terms a single compound predicate may expand to
-/// (see [`PredicateExpr::to_dnf`]).
-const MAX_DNF_TERMS: usize = 4096;
+/// Upper bound on DNF terms a single compound predicate — and every node
+/// inside it — may expand to (see [`PredicateExpr::to_dnf`]).
+pub const MAX_DNF_TERMS: usize = 4096;
 
 fn dnf_cap_error() -> QfeError {
     QfeError::UnsupportedQuery(format!(
@@ -267,49 +312,163 @@ fn dnf_cap_error() -> QfeError {
     ))
 }
 
-/// Order-preserving identity key of a DNF term. Two terms are duplicates
-/// only when they hold the same predicates in the same order —
-/// featurization is order-sensitive in its ternary marks, so reordered
-/// terms are *not* collapsed. `SimplePredicate` has no `Hash`/`Ord`
-/// (its `Value` carries an `f64`), hence the byte encoding; float
-/// literals key by bit pattern.
-fn term_key(term: &[SimplePredicate]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(term.len() * 10);
-    for p in term {
-        out.push(match p.op {
-            CmpOp::Eq => 0,
-            CmpOp::Lt => 1,
-            CmpOp::Gt => 2,
-            CmpOp::Le => 3,
-            CmpOp::Ge => 4,
-            CmpOp::Ne => 5,
-        });
-        match &p.value {
-            Value::Int(i) => {
-                out.push(b'i');
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Float(f) => {
-                out.push(b'f');
-                out.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(b's');
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-        }
-    }
-    out
+/// A disjunctive normal form over borrowed leaves, filled by
+/// [`PredicateExpr::dnf_into`]: the terms' leaves back to back in one
+/// flat run, plus each term's end offset into it.
+#[derive(Debug, Default)]
+pub(crate) struct DnfTerms<'a> {
+    leaves: Vec<&'a SimplePredicate>,
+    ends: Vec<usize>,
 }
 
-/// Remove exact duplicate terms, keeping first occurrences in order.
-fn dedup_terms(terms: &mut Vec<Vec<SimplePredicate>>) {
-    if terms.len() < 2 {
-        return;
+impl<'a> DnfTerms<'a> {
+    /// Number of terms (disjuncts); zero means unsatisfiable.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
     }
-    let mut seen = std::collections::HashSet::with_capacity(terms.len());
-    terms.retain(|t| seen.insert(term_key(t)));
+
+    /// The leaves of term `k`, a conjunction.
+    pub(crate) fn term(&self, k: usize) -> &[&'a SimplePredicate] {
+        &self.leaves[self.start(k)..self.ends[k]]
+    }
+
+    /// The terms in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[&'a SimplePredicate]> + '_ {
+        (0..self.len()).map(|k| self.term(k))
+    }
+
+    fn start(&self, k: usize) -> usize {
+        if k == 0 {
+            0
+        } else {
+            self.ends[k - 1]
+        }
+    }
+
+    /// Replace the accumulator terms `base..first` and the child terms
+    /// `first..last` (the tail of the store) with their deduplicated
+    /// left-major cross product, failing as soon as it exceeds the cap.
+    fn product(&mut self, base: usize, first: usize, last: usize) -> Result<(), QfeError> {
+        let base_leaf = self.start(base);
+        let prod_leaf = self.leaves.len();
+        let mut seen = TermIndex::new(last);
+        for a in base..first {
+            for c in first..last {
+                let start = self.leaves.len();
+                self.leaves.extend_from_within(self.start(a)..self.ends[a]);
+                self.leaves.extend_from_within(self.start(c)..self.ends[c]);
+                if seen.insert_new(self, start..self.leaves.len(), self.ends.len()) {
+                    self.ends.push(self.leaves.len());
+                    if self.ends.len() - last > MAX_DNF_TERMS {
+                        return Err(dnf_cap_error());
+                    }
+                } else {
+                    self.leaves.truncate(start);
+                }
+            }
+        }
+        let shift = prod_leaf - base_leaf;
+        self.leaves.drain(base_leaf..prod_leaf);
+        self.ends.drain(base..last);
+        for end in &mut self.ends[base..] {
+            *end -= shift;
+        }
+        Ok(())
+    }
+}
+
+/// Terms one node compares pairwise before it indexes them by hash.
+const SCAN_TERMS: usize = 16;
+
+/// Order-preserving duplicate filter over one node's terms, numbered from
+/// `base` in a [`DnfTerms`]. Few terms are compared directly; from
+/// [`SCAN_TERMS`] on, an open-addressing table of term hashes keeps the
+/// cost per candidate proportional to its length.
+struct TermIndex {
+    base: usize,
+    /// `(hash, term number + 1)`; `0` marks a free slot. Empty until the
+    /// node reaches `SCAN_TERMS` terms, then at most half full.
+    slots: Vec<(u64, usize)>,
+}
+
+impl TermIndex {
+    fn new(base: usize) -> Self {
+        TermIndex {
+            base,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Whether the candidate at leaf range `cand` of `dnf` differs from
+    /// every kept term `base..next`; if it does, it is recorded as term
+    /// `next`.
+    fn insert_new(&mut self, dnf: &DnfTerms<'_>, cand: Range<usize>, next: usize) -> bool {
+        let cand = &dnf.leaves[cand];
+        if self.slots.is_empty() {
+            if next - self.base < SCAN_TERMS {
+                return !(self.base..next).any(|t| same_term(dnf.term(t), cand));
+            }
+            self.slots = vec![(0, 0); 4 * SCAN_TERMS];
+            for t in self.base..next {
+                self.place(term_hash(dnf.term(t)), t);
+            }
+        }
+        let hash = term_hash(cand);
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.slots[i] {
+                (_, 0) => break,
+                (h, t) if h == hash && same_term(dnf.term(t - 1), cand) => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+        self.slots[i] = (hash, next + 1);
+        if 2 * (next + 1 - self.base) > self.slots.len() {
+            let grown = vec![(0, 0); 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for (h, t) in old.into_iter().filter(|&(_, t)| t != 0) {
+                self.place(h, t - 1);
+            }
+        }
+        true
+    }
+
+    fn place(&mut self, hash: u64, term: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i].1 != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (hash, term + 1);
+    }
+}
+
+fn same_leaf(a: &SimplePredicate, b: &SimplePredicate) -> bool {
+    a.op == b.op
+        && match (&a.value, &b.value) {
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Str(x), Value::Str(y)) => x == y,
+            _ => false,
+        }
+}
+
+fn same_term(a: &[&SimplePredicate], b: &[&SimplePredicate]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_leaf(x, y))
+}
+
+/// Hash consistent with [`same_term`]: operator, literal variant and bits.
+fn term_hash(term: &[&SimplePredicate]) -> u64 {
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    term.iter().fold(0, |h, p| {
+        let (tag, bits) = match &p.value {
+            Value::Int(i) => (0, *i as u64),
+            Value::Float(f) => (1, f.to_bits()),
+            Value::Str(s) => (2, s.bytes().fold(s.len() as u64, |h, b| mix(h, b.into()))),
+        };
+        mix(mix(h, p.op as u64 | tag << 3), bits)
+    })
 }
 
 /// A compound predicate: an AND/OR combination of simple predicates over a
@@ -514,6 +673,104 @@ mod tests {
         // same disjunct dedup to one term.
         let dup = PredicateExpr::Or(vec![PredicateExpr::leaf(CmpOp::Eq, 7); 5000]);
         assert_eq!(dup.to_dnf().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn dnf_cap_applies_in_and_arm() {
+        // 24 ANDed binary disjunctions would be 2^24 terms; the product
+        // must fail at the cap (2^13 > 4096 distinct terms), not build
+        // millions of terms and report a different error afterwards.
+        let or_pair = |v: i64| {
+            PredicateExpr::Or(vec![
+                PredicateExpr::leaf(CmpOp::Eq, v),
+                PredicateExpr::leaf(CmpOp::Ne, v),
+            ])
+        };
+        let big = PredicateExpr::And((0..24).map(or_pair).collect());
+        assert_eq!(big.to_dnf().unwrap_err(), dnf_cap_error());
+        // Exactly at the cap is fine.
+        let at_cap = PredicateExpr::And((0..12).map(or_pair).collect());
+        assert_eq!(at_cap.to_dnf().unwrap().len(), MAX_DNF_TERMS);
+    }
+
+    #[test]
+    fn unsatisfiable_and_child_empties_the_product() {
+        let e = PredicateExpr::And(vec![
+            PredicateExpr::Or(vec![
+                PredicateExpr::leaf(CmpOp::Eq, 1),
+                PredicateExpr::leaf(CmpOp::Eq, 2),
+            ]),
+            PredicateExpr::Or(vec![]),
+            PredicateExpr::leaf(CmpOp::Ne, 3),
+        ]);
+        assert!(e.to_dnf().unwrap().is_empty());
+        // The expansion stops at the empty child: a later child over the
+        // cap is never expanded.
+        let over_cap = PredicateExpr::And(
+            (0..13)
+                .map(|v| {
+                    PredicateExpr::Or(vec![
+                        PredicateExpr::leaf(CmpOp::Eq, v),
+                        PredicateExpr::leaf(CmpOp::Ne, v),
+                    ])
+                })
+                .collect(),
+        );
+        assert!(over_cap.to_dnf().is_err());
+        let e = PredicateExpr::And(vec![PredicateExpr::Or(vec![]), over_cap]);
+        assert!(e.to_dnf().unwrap().is_empty());
+    }
+
+    #[test]
+    fn dedup_keeps_first_occurrences_past_the_scan_limit() {
+        // Or of 0..50 twice: the second half is all duplicates, found
+        // through the hash index once the node holds SCAN_TERMS terms.
+        let leaves: Vec<_> = (0..50)
+            .chain(0..50)
+            .map(|v| PredicateExpr::leaf(CmpOp::Eq, v))
+            .collect();
+        let dnf = PredicateExpr::Or(leaves).to_dnf().unwrap();
+        let expected: Vec<_> = (0..50)
+            .map(|v| vec![SimplePredicate::new(CmpOp::Eq, v)])
+            .collect();
+        assert_eq!(dnf, expected);
+        // (TRUE OR x = 1) ANDed 40 times: 41 distinct terms x^0 .. x^40 in
+        // order of length, out of 2^k candidates per step.
+        let maybe_x = PredicateExpr::Or(vec![
+            PredicateExpr::And(vec![]),
+            PredicateExpr::leaf(CmpOp::Eq, 1),
+        ]);
+        let dnf = PredicateExpr::And(vec![maybe_x; 40]).to_dnf().unwrap();
+        assert_eq!(dnf.len(), 41);
+        for (k, term) in dnf.iter().enumerate() {
+            assert_eq!(term, &vec![SimplePredicate::new(CmpOp::Eq, 1); k]);
+        }
+    }
+
+    #[test]
+    fn dnf_into_borrows_leaves_and_reuses_the_store() {
+        // (a OR b) AND c → [a, c], [b, c], borrowed from the tree itself.
+        let e = PredicateExpr::And(vec![
+            PredicateExpr::Or(vec![
+                PredicateExpr::leaf(CmpOp::Ge, 1),
+                PredicateExpr::leaf(CmpOp::Le, 9),
+            ]),
+            PredicateExpr::leaf(CmpOp::Ne, 5),
+        ]);
+        let PredicateExpr::And(children) = &e else {
+            unreachable!()
+        };
+        let PredicateExpr::Leaf(c) = &children[1] else {
+            unreachable!()
+        };
+        let mut dnf = DnfTerms::default();
+        e.dnf_into(&mut dnf).unwrap();
+        assert_eq!(dnf.len(), 2);
+        assert!(std::ptr::eq(dnf.term(0)[1], c) && std::ptr::eq(dnf.term(1)[1], c));
+        let single = PredicateExpr::leaf(CmpOp::Eq, 4);
+        single.dnf_into(&mut dnf).unwrap();
+        assert_eq!(dnf.len(), 1);
+        assert_eq!(dnf.term(0), &[&SimplePredicate::new(CmpOp::Eq, 4)]);
     }
 
     #[test]

@@ -34,22 +34,7 @@ impl GlobalLearnedEstimator {
         model: Box<dyn Regressor + Send + Sync>,
         catalog: &Catalog,
     ) -> Self {
-        struct BoxedFeaturizer(Box<dyn Featurizer + Send + Sync>);
-        impl Featurizer for BoxedFeaturizer {
-            fn name(&self) -> &'static str {
-                self.0.name()
-            }
-            fn dim(&self) -> usize {
-                self.0.dim()
-            }
-            fn featurize(
-                &self,
-                query: &Query,
-            ) -> Result<qfe_core::featurize::FeatureVec, QfeError> {
-                self.0.featurize(query)
-            }
-        }
-        let global = GlobalTableEncoding::new(BoxedFeaturizer(featurizer), catalog.table_count());
+        let global = GlobalTableEncoding::new(featurizer, catalog.table_count());
         GlobalLearnedEstimator {
             inner: LearnedEstimator::new(Box::new(global), model),
         }
