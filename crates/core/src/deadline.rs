@@ -14,6 +14,10 @@
 
 use std::time::{Duration, Instant};
 
+/// The budget of [`Deadline::unbounded`], and the most any deadline gets:
+/// about 30 years.
+const HORIZON: Duration = Duration::from_secs(60 * 60 * 24 * 365 * 30);
+
 /// An absolute point in time by which a request must be answered.
 ///
 /// Constructed from a relative budget ([`Deadline::within`]); all
@@ -26,13 +30,14 @@ pub struct Deadline {
 }
 
 impl Deadline {
-    /// A deadline `budget` from now.
+    /// A deadline `budget` from now. Budgets beyond the
+    /// [`unbounded`](Self::unbounded) horizon saturate at it, so even
+    /// `Duration::MAX` is a deadline that never expires in practice.
     pub fn within(budget: Duration) -> Self {
         let start = Instant::now();
         Deadline {
             start,
-            // Saturate instead of panicking on absurd budgets.
-            due: start.checked_add(budget).unwrap_or(start),
+            due: start + budget.min(HORIZON),
         }
     }
 
@@ -40,7 +45,7 @@ impl Deadline {
     /// when a caller wants the deadline-aware code path without a real
     /// budget.
     pub fn unbounded() -> Self {
-        Deadline::within(Duration::from_secs(60 * 60 * 24 * 365 * 30))
+        Deadline::within(HORIZON)
     }
 
     /// The budget this deadline was created with.
@@ -97,6 +102,16 @@ mod tests {
         let d = Deadline::unbounded();
         assert!(!d.expired());
         assert!(d.remaining() > Duration::from_secs(60 * 60));
+    }
+
+    #[test]
+    fn huge_budgets_saturate_at_the_unbounded_horizon() {
+        for budget in [Duration::MAX, Duration::from_secs(u64::MAX / 2)] {
+            let d = Deadline::within(budget);
+            assert!(!d.expired(), "{budget:?} expired at birth");
+            assert_eq!(d.budget(), HORIZON);
+            assert!(d.remaining() > Duration::from_secs(60 * 60));
+        }
     }
 
     #[test]

@@ -26,20 +26,11 @@
 //! ([`BreakerStats`]) and surfaced alongside the fallback-chain counters,
 //! so "the learned stage has been open for an hour" is an observable fact
 //! rather than a silent degradation.
-//!
-//! [`BreakerStage`] packages a breaker with an estimator as a drop-in
-//! [`CardinalityEstimator`], so a [`crate::FallbackChain`] can hold
-//! breaker-wrapped stages without knowing about breaking at all: an open
-//! breaker surfaces as a fast typed [`qfe_core::error::EstimateError::CircuitOpen`], which
-//! the chain counts and falls through exactly like any other stage error.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use qfe_core::error::EstimateError;
-use qfe_core::estimator::{CardinalityEstimator, Estimate};
-use qfe_core::Query;
 use qfe_obs::Recorder;
 
 /// Breaker tuning knobs.
@@ -289,91 +280,9 @@ impl CircuitBreaker {
     }
 }
 
-/// An estimator wrapped with a [`CircuitBreaker`]: a drop-in stage for a
-/// [`crate::FallbackChain`]. Failures of any [`qfe_core::EstimateErrorKind`] count
-/// against the breaker; an open breaker answers with a fast
-/// [`qfe_core::error::EstimateError::CircuitOpen`] instead of invoking the inner
-/// estimator.
-pub struct BreakerStage<E> {
-    inner: E,
-    breaker: CircuitBreaker,
-}
-
-impl<E: CardinalityEstimator> BreakerStage<E> {
-    /// Wrap `inner` with a breaker.
-    pub fn new(inner: E, cfg: BreakerConfig) -> Self {
-        BreakerStage {
-            inner,
-            breaker: CircuitBreaker::new(cfg),
-        }
-    }
-
-    /// Wrap `inner` with an existing breaker (e.g. one on a test clock).
-    pub fn with_breaker(inner: E, breaker: CircuitBreaker) -> Self {
-        BreakerStage { inner, breaker }
-    }
-
-    /// The breaker, for stats and tests.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    /// The wrapped estimator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: CardinalityEstimator> CardinalityEstimator for BreakerStage<E> {
-    fn name(&self) -> String {
-        format!("breaker({})", self.inner.name())
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        match self.try_estimate(query) {
-            Ok(e) => e.value,
-            Err(_) => f64::NAN, // infallible callers must re-validate anyway
-        }
-    }
-
-    fn try_estimate(&self, query: &Query) -> Result<Estimate, EstimateError> {
-        if !self.breaker.admit() {
-            return Err(EstimateError::CircuitOpen {
-                estimator: self.inner.name(),
-            });
-        }
-        match self.inner.try_estimate(query) {
-            Ok(est) if est.value.is_finite() && est.value >= 1.0 => {
-                self.breaker.record_success();
-                Ok(est)
-            }
-            // An Ok wrapping garbage is a failure as far as the breaker
-            // is concerned — convert it to the typed error the chain
-            // would have synthesized anyway.
-            Ok(est) => {
-                self.breaker.record_failure();
-                Err(EstimateError::NonFinite {
-                    estimator: self.inner.name(),
-                    value: est.value,
-                })
-            }
-            Err(e) => {
-                self.breaker.record_failure();
-                Err(e)
-            }
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfe_core::error::EstimateErrorKind;
-    use qfe_core::TableId;
     use std::sync::atomic::AtomicU64 as ClockCell;
 
     /// A manually stepped clock: `tick.store(ms)` sets "now".
@@ -505,50 +414,5 @@ mod tests {
         // The recorder mirrors the internal stats exactly.
         let s = b.stats();
         assert_eq!((s.opened, s.probes, s.reclosed, s.rejected), (1, 1, 1, 1));
-    }
-
-    #[test]
-    fn breaker_stage_surfaces_circuit_open_and_recovers() {
-        struct Flaky {
-            healthy: std::sync::atomic::AtomicBool,
-        }
-        impl CardinalityEstimator for Flaky {
-            fn name(&self) -> String {
-                "flaky".into()
-            }
-            fn estimate(&self, _q: &Query) -> f64 {
-                if self.healthy.load(Ordering::Relaxed) {
-                    42.0
-                } else {
-                    f64::NAN
-                }
-            }
-        }
-
-        let (tick, clock) = manual_clock();
-        let stage = BreakerStage::with_breaker(
-            Flaky {
-                healthy: std::sync::atomic::AtomicBool::new(false),
-            },
-            CircuitBreaker::with_clock(cfg(), clock),
-        );
-        let q = Query::single_table(TableId(0), vec![]);
-
-        // Three NaN answers trip the breaker...
-        for _ in 0..3 {
-            let err = stage.try_estimate(&q).unwrap_err();
-            assert_eq!(err.kind(), EstimateErrorKind::NonFinite);
-        }
-        // ...after which the inner estimator is not consulted at all.
-        let err = stage.try_estimate(&q).unwrap_err();
-        assert_eq!(err.kind(), EstimateErrorKind::CircuitOpen);
-
-        // Heal the estimator, elapse the cooldown: the half-open probe
-        // closes the breaker and answers flow again.
-        stage.inner().healthy.store(true, Ordering::Relaxed);
-        tick.store(100, Ordering::Relaxed);
-        assert_eq!(stage.try_estimate(&q).unwrap().value, 42.0);
-        assert_eq!(stage.breaker().state(), BreakerState::Closed);
-        assert_eq!(stage.name(), "breaker(flaky)");
     }
 }

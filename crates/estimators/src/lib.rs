@@ -28,10 +28,9 @@
 //!   per-stage observability, plus the seeded [`chain::ChaosEstimator`]
 //!   fault injector that the robustness tests drive it with.
 //! * [`breaker`] — per-stage circuit breaking: [`breaker::CircuitBreaker`]
-//!   (closed → open → half-open with exponential cooldown) and the
-//!   [`breaker::BreakerStage`] wrapper that lets a chain skip a
-//!   persistently failing stage instead of paying for its failure on
-//!   every query.
+//!   (closed → open → half-open with exponential cooldown), which lets
+//!   the serving stage loop skip a persistently failing stage instead of
+//!   paying for its failure on every query.
 
 // Library code must fail with typed errors, never a panic: `unwrap`/`expect`
 // are confined to tests.
@@ -50,7 +49,7 @@ pub mod postgres;
 pub mod sampling;
 pub mod truth;
 
-pub use breaker::{BreakerConfig, BreakerStage, BreakerState, BreakerStats, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use chain::{ChainStats, ChaosEstimator, EstimatorFault, FallbackChain};
 pub use correlated::CorrelatedSamplingEstimator;
 pub use global::{GlobalLearnedEstimator, MscnEstimator};

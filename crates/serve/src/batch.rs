@@ -2,23 +2,42 @@
 //!
 //! Callers that arrive one query at a time can't use
 //! [`EstimatorService::estimate_batch`] themselves — somebody has to
-//! collect the batch. The [`MicroBatcher`] is that somebody: `submit`
-//! parks the caller on a completion slot while a small worker pool
-//! (`cfg.workers`) drains the submission queue. Batching is
-//! opportunistic: a worker that pops a request also takes whatever else
-//! is already queued, up to `cfg.max_batch_size`, and dispatches at once
-//! as one batched service call, then completes each waiter individually.
-//! It never waits for a batch to fill. When idle, a lone request goes out
-//! as a batch of one without delay; under load, requests pile up while
-//! every worker is busy, so the next drain takes them all and the learned
-//! stage amortizes one featurize-and-forward across the whole batch.
+//! collect the batch. The [`MicroBatcher`] lets the callers collect it
+//! among themselves, on their own threads; it owns no threads. `submit`
+//! queues the request and then parks the caller under the queue lock.
+//! On every wake a caller first looks for its own published reply and
+//! returns it. Otherwise, if fewer than `dispatchers` batches are in
+//! flight and its own request is still among the first
+//! `cfg.max_batch_size` queued, the caller becomes a leader: it claims a
+//! dispatch slot, takes that many requests oldest first (its own among
+//! them), runs them as one batched service call on its own thread,
+//! publishes every member's reply and wakes each member. A leader
+//! therefore only ever runs a batch it is part of, under a deadline no
+//! later than its own; a caller whose request another leader took parks
+//! until that leader publishes its reply.
+//!
+//! Every caller parks on a condvar of its own, so a wake reaches only
+//! the callers it concerns: the members of a finished batch, a withdrawn
+//! member, and the owner of the oldest queued request when a dispatch
+//! slot is free (that owner leads next, and hands the wake on if a slot
+//! is still free after its drain).
+//!
+//! Batching is opportunistic: nobody waits for a batch to fill. When
+//! idle, a lone caller dispatches its own request at once as a batch of
+//! one; under load, requests pile up while every dispatch slot is busy,
+//! so the next leader takes them all and the learned stage amortizes one
+//! featurize-and-forward across the whole batch. A request therefore
+//! crosses two thread hand-offs, to the service's stage runner and back
+//! ([`crate::runner`]); the stage call stays abandonable at its budget
+//! share exactly as on the singleton path.
 //!
 //! Deadline semantics: the dispatched batch runs under the *tightest*
 //! member deadline (minimum remaining budget), so no member's budget is
 //! silently extended by its batch-mates; members whose own deadline
 //! already expired while queued are withdrawn before dispatch with a
 //! per-row [`ServeError::DeadlineExceeded`] (`admitted: false` — the
-//! budget died in the batcher's queue).
+//! budget died in the batcher's queue). A would-be leader whose own
+//! deadline has expired withdraws itself the same way instead of leading.
 //!
 //! Load shedding: the submission queue is bounded
 //! (`max(queue_capacity, max_batch_size)`, so a full batch can always
@@ -28,8 +47,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use qfe_core::estimator::Estimate;
 use qfe_core::{Deadline, Query};
@@ -38,40 +56,25 @@ use qfe_obs::Recorder;
 use crate::error::{OverloadKind, ServeError, ShedPolicy};
 use crate::service::EstimatorService;
 
-/// One parked caller: its query, its budget, and the channel its worker
-/// completes it on.
+type Reply = Result<Estimate, ServeError>;
+
+/// One queued request: its caller's ticket and wake, its query and its
+/// budget.
 struct BatchRequest {
+    ticket: u64,
+    wake: Arc<Condvar>,
     query: Query,
     deadline: Deadline,
-    tx: mpsc::SyncSender<Result<Estimate, ServeError>>,
 }
 
 struct BatcherState {
+    /// Queued requests, oldest first (tickets ascending).
     waiting: VecDeque<BatchRequest>,
-    shutdown: bool,
-}
-
-/// State shared between submitters and workers. Counters live outside
-/// the mutex; only the queue itself is locked.
-struct Shared {
-    state: Mutex<BatcherState>,
-    cv: Condvar,
-    submitted: AtomicU64,
-    shed: AtomicU64,
-    expired: AtomicU64,
-    dispatched: AtomicU64,
-}
-
-impl Shared {
-    /// Poisoning recovery mirrors the admission queue: counters and the
-    /// queue are valid under any interleaving, so a panicking peer must
-    /// not wedge every future submission.
-    fn lock(&self) -> MutexGuard<'_, BatcherState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
+    /// Replies published by a leader, each awaiting its parked caller.
+    replies: Vec<(u64, Reply)>,
+    next_ticket: u64,
+    /// Batches being dispatched right now (at most `dispatchers`).
+    in_flight: usize,
 }
 
 /// One coherent snapshot of the batcher's counters.
@@ -79,8 +82,7 @@ impl Shared {
 pub struct BatcherStats {
     /// Lifetime `submit` calls.
     pub submitted: u64,
-    /// Submissions rejected because the queue was full (or the batcher
-    /// was shutting down).
+    /// Submissions rejected because the queue was full.
     pub shed: u64,
     /// Members withdrawn before dispatch because their deadline expired
     /// in the queue.
@@ -91,134 +93,203 @@ pub struct BatcherStats {
     pub queued: usize,
 }
 
-/// A worker pool that coalesces singleton submissions into batched
-/// [`EstimatorService::estimate_batch_within`] calls (see module docs).
+/// Coalesces singleton submissions into batched
+/// [`EstimatorService::estimate_batch_within`] calls, dispatched by the
+/// submitting threads themselves (see module docs).
 pub struct MicroBatcher {
     svc: Arc<EstimatorService>,
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    /// Only the queue and the replies are locked; counters live outside.
+    state: Mutex<BatcherState>,
+    submitted: AtomicU64,
+    shed: AtomicU64,
+    expired: AtomicU64,
+    dispatched: AtomicU64,
     capacity: usize,
+    max_batch: usize,
+    dispatchers: usize,
 }
 
 impl MicroBatcher {
-    /// Start `cfg.workers` (clamped to `>= 1`) worker threads over
-    /// `svc`, reading the batching knobs from the service's
-    /// [`ServiceConfig`](crate::ServiceConfig). Workers run until the
-    /// batcher is dropped; requests still queued at drop are served
-    /// before the workers exit.
+    /// A batcher over `svc`, reading the batching knobs from the
+    /// service's [`ServiceConfig`](crate::ServiceConfig). It spawns no
+    /// threads: submitters dispatch the batches.
     ///
-    /// The worker count is additionally capped at the shared
-    /// [`qfe_core::parallel`] pool width (`QFE_THREADS` /
-    /// `available_parallelism`): batcher workers drive featurization and
-    /// model inference, so spawning more of them than the machine has
-    /// cores only adds queueing jitter — oversized `cfg.workers` configs
-    /// degrade gracefully to the pool size instead.
+    /// At most `cfg.workers` (clamped to `>= 1`) batches are in flight at
+    /// once, further capped at the shared [`qfe_core::parallel`] pool
+    /// width (`QFE_THREADS` / `available_parallelism`): a dispatch drives
+    /// featurization and model inference, so running more of them than
+    /// the machine has cores only adds queueing jitter — oversized
+    /// `cfg.workers` configs degrade gracefully to the pool size instead.
     pub fn new(svc: Arc<EstimatorService>) -> Self {
-        let cfg = svc.config();
         let pool_width = qfe_core::parallel::current().threads();
-        let workers_n = cfg.workers.max(1).min(pool_width.max(1));
+        let dispatchers = svc.config().workers.min(pool_width);
+        Self::with_dispatchers(svc, dispatchers)
+    }
+
+    /// A batcher with at most `dispatchers` (clamped to `>= 1`) batches
+    /// in flight, whatever the pool width.
+    fn with_dispatchers(svc: Arc<EstimatorService>, dispatchers: usize) -> Self {
+        let cfg = svc.config();
         let max_batch = cfg.max_batch_size.max(1);
         let capacity = cfg.queue_capacity.max(max_batch);
-        let shared = Arc::new(Shared {
+        MicroBatcher {
+            svc,
             state: Mutex::new(BatcherState {
                 waiting: VecDeque::new(),
-                shutdown: false,
+                replies: Vec::new(),
+                next_ticket: 0,
+                in_flight: 0,
             }),
-            cv: Condvar::new(),
             submitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
-        });
-        let workers = (0..workers_n)
-            .filter_map(|i| {
-                let svc = Arc::clone(&svc);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("qfe-serve-batcher-{i}"))
-                    .spawn(move || worker_loop(&svc, &shared, max_batch))
-                    .ok()
-            })
-            .collect::<Vec<_>>();
-        if workers.is_empty() {
-            // No worker could be spawned (resource exhaustion): close the
-            // queue so submissions fail fast with `Overloaded` instead of
-            // parking forever.
-            shared.lock().shutdown = true;
-        }
-        MicroBatcher {
-            svc,
-            shared,
-            workers,
             capacity,
+            max_batch,
+            dispatchers: dispatchers.max(1),
         }
     }
 
     /// Submit one query under the service's default budget, blocking
-    /// until a worker completes it. See [`submit_within`](Self::submit_within).
+    /// until its batch is answered. See [`submit_within`](Self::submit_within).
     pub fn submit(&self, query: &Query) -> Result<Estimate, ServeError> {
         self.submit_within(query, Deadline::within(self.svc.config().default_budget))
     }
 
-    /// Submit one query under the caller's deadline, blocking until a
-    /// worker batches and completes it.
+    /// Submit one query under the caller's deadline, blocking until its
+    /// batch is answered — possibly dispatching that batch on this thread.
     ///
     /// Returns exactly what the singleton path would: an [`Estimate`]
     /// with stage provenance, or a typed [`ServeError`] when the request
     /// was shed (queue full), expired in the queue, or ran out of budget
     /// inside the service.
     pub fn submit_within(&self, query: &Query, deadline: Deadline) -> Result<Estimate, ServeError> {
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        self.submitted.fetch_add(1, Ordering::Relaxed);
         self.svc.recorder().incr("serve.batch.submitted");
-        let (tx, rx) = mpsc::sync_channel(1);
-        {
-            let mut st = self.shared.lock();
-            if st.shutdown || st.waiting.len() >= self.capacity {
-                let queue_len = st.waiting.len();
-                drop(st);
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                self.svc.recorder().incr("serve.batch.shed");
-                return Err(ServeError::Overloaded {
-                    kind: OverloadKind::RejectedAtAdmission,
-                    // The batcher always rejects the newcomer — it never
-                    // evicts a parked caller — whatever the service's own
-                    // queue policy says.
-                    policy: ShedPolicy::RejectNew,
-                    queue_len,
-                    capacity: self.capacity,
-                });
-            }
-            st.waiting.push_back(BatchRequest {
-                query: query.clone(),
-                deadline,
-                tx,
+        let query = query.clone();
+        let wake = Arc::new(Condvar::new());
+        let mut st = self.lock();
+        if st.waiting.len() >= self.capacity {
+            let queue_len = st.waiting.len();
+            drop(st);
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            self.svc.recorder().incr("serve.batch.shed");
+            return Err(ServeError::Overloaded {
+                kind: OverloadKind::RejectedAtAdmission,
+                // The batcher always rejects the newcomer — it never
+                // evicts a parked caller — whatever the service's own
+                // queue policy says.
+                policy: ShedPolicy::RejectNew,
+                queue_len,
+                capacity: self.capacity,
             });
         }
-        self.shared.cv.notify_one();
-        match rx.recv() {
-            Ok(result) => result,
-            // Unreachable in practice: workers complete every request
-            // they pop, and drop-shutdown drains the queue. Kept total so
-            // a future worker bug degrades to a typed error, not a hang
-            // or a panic.
-            Err(_) => Err(ServeError::DeadlineExceeded {
-                budget: deadline.budget(),
-                elapsed: deadline.elapsed(),
-                stages_tried: 0,
-                admitted: false,
-            }),
+        let ticket = st.next_ticket;
+        st.next_ticket += 1;
+        st.waiting.push_back(BatchRequest {
+            ticket,
+            wake: Arc::clone(&wake),
+            query,
+            deadline,
+        });
+        loop {
+            if let Some(i) = st.replies.iter().position(|(t, _)| *t == ticket) {
+                return st.replies.swap_remove(i).1;
+            }
+            if st.in_flight < self.dispatchers {
+                // Lead only a batch this caller is part of.
+                let mut next_batch = st.waiting.iter().take(self.max_batch);
+                if let Some(i) = next_batch.position(|r| r.ticket == ticket) {
+                    if deadline.expired() {
+                        // Leading now would hold this caller past its own
+                        // deadline, for a batch of others.
+                        st.waiting.remove(i);
+                        self.count_expired();
+                        self.wake_next_leader(&st);
+                        return Err(deadline_error(deadline, false));
+                    }
+                    let dispatch = self.take_batch(&mut st, ticket);
+                    drop(st);
+                    dispatch.run();
+                    st = self.lock();
+                    continue;
+                }
+            }
+            st = wake.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Drain up to `max_batch` queued requests, oldest first — `leader`'s
+    /// own among them — answer the expired ones at once, and claim a
+    /// dispatch slot for the rest. The leader's own request is never
+    /// withdrawn: it was live when the leader checked, and the batch's
+    /// tightest deadline covers it.
+    fn take_batch(&self, st: &mut BatcherState, leader: u64) -> Dispatch<'_> {
+        let n = st.waiting.len().min(self.max_batch);
+        let mut queries = Vec::with_capacity(n);
+        let mut members = Vec::with_capacity(n);
+        for req in st.waiting.drain(..n) {
+            // Dispatching a member whose budget died in the queue would
+            // only burn the batch's budget on a row that can no longer be
+            // answered in time.
+            if req.ticket != leader && req.deadline.expired() {
+                self.count_expired();
+                st.replies
+                    .push((req.ticket, Err(deadline_error(req.deadline, false))));
+                req.wake.notify_one();
+            } else {
+                queries.push(req.query);
+                members.push(Member {
+                    ticket: req.ticket,
+                    wake: req.wake,
+                    deadline: req.deadline,
+                });
+            }
+        }
+        st.in_flight += 1;
+        self.dispatched
+            .fetch_add(members.len() as u64, Ordering::Relaxed);
+        self.wake_next_leader(st);
+        Dispatch {
+            batcher: self,
+            leader,
+            queries,
+            members,
+            results: Vec::new(),
+        }
+    }
+
+    /// If a dispatch slot is free and requests are queued, wake the owner
+    /// of the oldest one: it is the caller that leads next.
+    fn wake_next_leader(&self, st: &BatcherState) {
+        if st.in_flight < self.dispatchers {
+            if let Some(oldest) = st.waiting.front() {
+                oldest.wake.notify_one();
+            }
+        }
+    }
+
+    fn count_expired(&self) {
+        self.expired.fetch_add(1, Ordering::Relaxed);
+        self.svc.recorder().incr("serve.batch.expired");
+    }
+
+    /// Poisoning recovery mirrors the admission queue: counters, queue
+    /// and replies are valid under any interleaving, so a panicking peer
+    /// must not wedge every future submission.
+    fn lock(&self) -> MutexGuard<'_, BatcherState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// One coherent snapshot of the batcher's counters. After the queue
     /// drains, `submitted == shed + expired + dispatched`.
     pub fn stats(&self) -> BatcherStats {
         BatcherStats {
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            shed: self.shared.shed.load(Ordering::Relaxed),
-            expired: self.shared.expired.load(Ordering::Relaxed),
-            dispatched: self.shared.dispatched.load(Ordering::Relaxed),
-            queued: self.shared.lock().waiting.len(),
+            submitted: self.submitted.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            expired: self.expired.load(Ordering::Relaxed),
+            dispatched: self.dispatched.load(Ordering::Relaxed),
+            queued: self.lock().waiting.len(),
         }
     }
 
@@ -228,86 +299,68 @@ impl MicroBatcher {
     }
 }
 
-impl Drop for MicroBatcher {
-    fn drop(&mut self) {
-        self.shared.lock().shutdown = true;
-        self.shared.cv.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+/// The error of a member whose budget ran out before it was answered.
+fn deadline_error(deadline: Deadline, admitted: bool) -> ServeError {
+    ServeError::DeadlineExceeded {
+        budget: deadline.budget(),
+        elapsed: deadline.elapsed(),
+        stages_tried: 0,
+        admitted,
     }
 }
 
-/// One worker: block until the queue is non-empty, take everything
-/// queued (up to `max_batch`), withdraw expired members, dispatch the
-/// rest under the tightest member deadline, and complete every waiter
-/// individually.
-fn worker_loop(svc: &Arc<EstimatorService>, shared: &Arc<Shared>, max_batch: usize) {
-    loop {
-        // Phase 1: take what is queued (or exit on shutdown + empty
-        // queue). There is no fill wait: a batch is whatever piled up
-        // while the workers were busy.
-        let batch: Vec<BatchRequest> = {
-            let mut st = shared.lock();
-            loop {
-                if !st.waiting.is_empty() {
-                    let n = st.waiting.len().min(max_batch);
-                    break st.waiting.drain(..n).collect();
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = match shared.cv.wait(st) {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
+/// A dispatched request: whom to answer, how to wake them, and by when.
+struct Member {
+    ticket: u64,
+    wake: Arc<Condvar>,
+    deadline: Deadline,
+}
+
+/// A claimed dispatch slot and the batch drained into it. Dropping it
+/// publishes a reply for every member — its row result, or a deadline
+/// error for a row the service never returned — releases the slot and
+/// wakes every member and the next leader, on every exit path, so no
+/// caller is ever stranded.
+struct Dispatch<'a> {
+    batcher: &'a MicroBatcher,
+    /// The ticket of the caller running the dispatch, itself a member.
+    leader: u64,
+    queries: Vec<Query>,
+    /// In `queries` order.
+    members: Vec<Member>,
+    results: Vec<Reply>,
+}
+
+impl Dispatch<'_> {
+    /// Run the batch under the tightest member deadline.
+    fn run(mut self) {
+        let tightest = self.members.iter().map(|m| m.deadline);
+        let Some(deadline) = tightest.min_by_key(Deadline::remaining) else {
+            return;
         };
-        // Phase 2: withdraw members whose budget died in the queue —
-        // dispatching them would only burn the batch's budget on rows
-        // that can no longer be answered in time.
-        let mut live = Vec::with_capacity(batch.len());
-        for req in batch {
-            if req.deadline.expired() {
-                shared.expired.fetch_add(1, Ordering::Relaxed);
-                svc.recorder().incr("serve.batch.expired");
-                let _ = req.tx.send(Err(ServeError::DeadlineExceeded {
-                    budget: req.deadline.budget(),
-                    elapsed: req.deadline.elapsed(),
-                    stages_tried: 0,
-                    admitted: false,
-                }));
-            } else {
-                live.push(req);
-            }
+        self.results = self
+            .batcher
+            .svc
+            .estimate_batch_within(&self.queries, deadline);
+    }
+}
+
+impl Drop for Dispatch<'_> {
+    fn drop(&mut self) {
+        let mut results = std::mem::take(&mut self.results).into_iter();
+        let mut st = self.batcher.lock();
+        for m in &self.members {
+            let row = results
+                .next()
+                .unwrap_or_else(|| Err(deadline_error(m.deadline, true)));
+            st.replies.push((m.ticket, row));
         }
-        if live.is_empty() {
-            continue;
-        }
-        // Phase 3: dispatch under the tightest member deadline and
-        // complete each waiter with its own row result.
-        let mut batch_deadline = live[0].deadline;
-        for req in &live[1..] {
-            if req.deadline.remaining() < batch_deadline.remaining() {
-                batch_deadline = req.deadline;
-            }
-        }
-        shared
-            .dispatched
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
-        let queries: Vec<Query> = live.iter().map(|r| r.query.clone()).collect();
-        let results = svc.estimate_batch_within(&queries, batch_deadline);
-        let mut results = results.into_iter();
-        for req in live {
-            let row = results.next().unwrap_or_else(|| {
-                Err(ServeError::DeadlineExceeded {
-                    budget: req.deadline.budget(),
-                    elapsed: req.deadline.elapsed(),
-                    stages_tried: 0,
-                    admitted: true,
-                })
-            });
-            let _ = req.tx.send(row);
+        st.in_flight -= 1;
+        self.batcher.wake_next_leader(&st);
+        drop(st);
+        // The leader is awake: it finds its own reply when it relocks.
+        for m in self.members.iter().filter(|m| m.ticket != self.leader) {
+            m.wake.notify_one();
         }
     }
 }
@@ -482,8 +535,8 @@ mod tests {
                 std::thread::spawn(move || b.submit(&q()))
             })
             .collect();
-        // Drop our handle while submitters are in flight; the workers
-        // hold their own Arc and drain before exiting.
+        // Drop our handle while submitters are in flight; each submitter
+        // holds its own Arc and is answered regardless.
         drop(batcher);
         for h in handles {
             let e = h.join().unwrap().unwrap();
@@ -527,62 +580,199 @@ mod tests {
         }
     }
 
-    struct Gated(Arc<Gate>);
+    /// Holds a query on table `i` at gate `i`, then answers 42.
+    struct Gated(Vec<Arc<Gate>>);
     impl CardinalityEstimator for Gated {
         fn name(&self) -> String {
             "gated".into()
         }
-        fn estimate(&self, _q: &Query) -> f64 {
-            let mut st = self.0.state.lock().unwrap();
+        fn estimate(&self, q: &Query) -> f64 {
+            let gate = &self.0[q.tables[0].0];
+            let mut st = gate.state.lock().unwrap();
             st.1 += 1;
-            self.0.cv.notify_all();
+            gate.cv.notify_all();
             while !st.0 {
-                st = self.0.cv.wait(st).unwrap();
+                st = gate.cv.wait(st).unwrap();
             }
             42.0
         }
     }
 
-    #[test]
-    fn requests_queued_behind_a_busy_worker_drain_as_one_batch() {
-        const K: usize = 6;
-        let gate = Arc::new(Gate::default());
+    /// `n` fresh gates and a batcher over a [`Gated`] stage behind them,
+    /// with `dispatchers` dispatch slots whatever the pool width.
+    fn gated_batcher(
+        n: usize,
+        dispatchers: usize,
+        max_batch_size: usize,
+    ) -> (Vec<Arc<Gate>>, Arc<MicroBatcher>) {
+        let gates: Vec<_> = (0..n).map(|_| Arc::new(Gate::default())).collect();
         let svc = Arc::new(EstimatorService::new(
-            vec![Arc::new(Gated(Arc::clone(&gate)))],
+            vec![Arc::new(Gated(gates.clone()))],
             ServiceConfig {
-                workers: 1,
-                max_batch_size: 32,
+                max_batch_size,
                 queue_capacity: 32,
                 default_budget: Duration::from_secs(30),
                 ..ServiceConfig::default()
             },
         ));
-        let batcher = Arc::new(MicroBatcher::new(Arc::clone(&svc)));
-        let submit = || {
-            let b = Arc::clone(&batcher);
-            std::thread::spawn(move || b.submit(&q()))
-        };
-        // The single worker dispatches the first request alone and is held
-        // inside the stage by the gate.
-        let mut handles = vec![submit()];
-        gate.wait_entered(1);
-        // K more pile up in the queue behind it.
-        handles.extend((0..K).map(|_| submit()));
-        while batcher.stats().queued < K {
+        (
+            gates,
+            Arc::new(MicroBatcher::with_dispatchers(svc, dispatchers)),
+        )
+    }
+
+    /// Submit a query on table `table` from a new thread; the thread
+    /// returns the reply and how long the caller was held.
+    fn spawn_submit(
+        batcher: &Arc<MicroBatcher>,
+        table: usize,
+        deadline: Deadline,
+    ) -> std::thread::JoinHandle<(Reply, Duration)> {
+        let b = Arc::clone(batcher);
+        std::thread::spawn(move || {
+            let started = std::time::Instant::now();
+            let reply = b.submit_within(&Query::single_table(TableId(table), vec![]), deadline);
+            (reply, started.elapsed())
+        })
+    }
+
+    fn wait_queued(batcher: &MicroBatcher, n: usize) {
+        while batcher.stats().queued < n {
             std::thread::yield_now();
         }
-        gate.open();
-        for h in handles {
-            assert_eq!(h.join().unwrap().unwrap().value, 42.0);
-        }
-        // Two drains: the lone first request, then all K at once.
-        let m = svc.metrics();
-        let sizes = m
+    }
+
+    fn batch_sizes(batcher: &MicroBatcher) -> qfe_obs::HistogramSnapshot {
+        batcher
+            .service()
+            .metrics()
             .histogram(crate::service::BATCH_SIZE_METRIC)
-            .expect("batch size histogram");
+            .cloned()
+            .expect("batch size histogram")
+    }
+
+    #[test]
+    fn requests_queued_behind_a_busy_worker_drain_as_one_batch() {
+        const K: usize = 6;
+        let (gates, batcher) = gated_batcher(1, 1, 32);
+        let live = || Deadline::within(Duration::from_secs(30));
+        // The only dispatch slot takes the first request alone and is held
+        // inside the stage by the gate.
+        let leader = spawn_submit(&batcher, 0, live());
+        gates[0].wait_entered(1);
+        // K live callers pile up behind it, the second of them preceded
+        // by a caller whose budget is already gone.
+        let mut followers = vec![spawn_submit(&batcher, 0, live())];
+        wait_queued(&batcher, 1);
+        let expired = spawn_submit(&batcher, 0, Deadline::within(Duration::ZERO));
+        wait_queued(&batcher, 2);
+        followers.extend((1..K).map(|_| spawn_submit(&batcher, 0, live())));
+        wait_queued(&batcher, 1 + K);
+        // The freed slot goes to the oldest caller, which withdraws the
+        // expired one and leads the rest.
+        gates[0].open();
+        for h in std::iter::once(leader).chain(followers) {
+            assert_eq!(h.join().unwrap().0.unwrap().value, 42.0);
+        }
+        let err = expired.join().unwrap().0.unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServeError::DeadlineExceeded {
+                    stages_tried: 0,
+                    admitted: false,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // Two drains: the lone first request, then all K at once; the
+        // expired one never reached the service.
+        let sizes = batch_sizes(&batcher);
         assert_eq!(
             (sizes.count, sizes.sum_nanos, sizes.max_nanos),
             (2, 1 + K as u64, K as u64)
+        );
+        let stats = batcher.stats();
+        assert_eq!(
+            (stats.submitted, stats.shed, stats.expired, stats.dispatched),
+            (2 + K as u64, 0, 1, 1 + K as u64)
+        );
+        assert_eq!(
+            stats.submitted,
+            stats.shed + stats.expired + stats.dispatched
+        );
+        let m = batcher.service().metrics();
+        assert_eq!(m.counter("serve.batch.expired"), 1);
+    }
+
+    #[test]
+    fn callers_piled_up_behind_a_gated_leader_drain_in_fifo_batches_of_two() {
+        const K: usize = 6;
+        let (gates, batcher) = gated_batcher(1, 1, 2);
+        let live = || Deadline::within(Duration::from_secs(30));
+        let mut handles = vec![spawn_submit(&batcher, 0, live())];
+        gates[0].wait_entered(1);
+        handles.extend((0..K).map(|_| spawn_submit(&batcher, 0, live())));
+        wait_queued(&batcher, K);
+        gates[0].open();
+        // Each freed slot goes to the owner of the oldest queued request,
+        // which leads it and the next one: every caller is answered, in
+        // three drains of two behind the first.
+        for h in handles {
+            assert_eq!(h.join().unwrap().0.unwrap().value, 42.0);
+        }
+        let sizes = batch_sizes(&batcher);
+        assert_eq!(
+            (sizes.count, sizes.sum_nanos, sizes.max_nanos),
+            (1 + K as u64 / 2, 1 + K as u64, 2)
+        );
+        let stats = batcher.stats();
+        assert_eq!((stats.dispatched, stats.queued), (1 + K as u64, 0));
+    }
+
+    #[test]
+    fn a_follower_returns_within_its_own_budget_while_a_later_batch_stalls() {
+        const FOLLOWERS: usize = 5;
+        // Gate 0 and 1 hold the two dispatch slots, gate 2 holds the
+        // followers' batch, gate 3 stalls a later batch.
+        let (gates, batcher) = gated_batcher(4, 2, 32);
+        let long = || Deadline::within(Duration::from_secs(10));
+        let own_budget = Duration::from_secs(5);
+        let first = spawn_submit(&batcher, 0, long());
+        gates[0].wait_entered(1);
+        let second = spawn_submit(&batcher, 1, long());
+        gates[1].wait_entered(1);
+        let followers: Vec<_> = (0..FOLLOWERS)
+            .map(|_| spawn_submit(&batcher, 2, Deadline::within(own_budget)))
+            .collect();
+        wait_queued(&batcher, FOLLOWERS);
+        // One slot frees: the followers go out as one batch, held at gate
+        // 2 — all but its leader now park with their request in flight.
+        gates[1].open();
+        gates[2].wait_entered(1);
+        // A later request with a longer budget queues behind them, and the
+        // other slot frees for it while the followers are still parked.
+        let stalled = spawn_submit(&batcher, 3, long());
+        wait_queued(&batcher, 1);
+        gates[0].open();
+        gates[3].wait_entered(1);
+        // The followers' batch is answered while the later one stalls:
+        // none of them may be held by it.
+        gates[2].open();
+        for h in followers {
+            let (reply, held) = h.join().unwrap();
+            assert_eq!(reply.unwrap().value, 42.0);
+            assert!(held < own_budget, "a follower was held {held:?}");
+        }
+        gates[3].open();
+        for h in [first, second, stalled] {
+            assert_eq!(h.join().unwrap().0.unwrap().value, 42.0);
+        }
+        let sizes = batch_sizes(&batcher);
+        assert_eq!(
+            (sizes.count, sizes.sum_nanos, sizes.max_nanos),
+            (4, 3 + FOLLOWERS as u64, FOLLOWERS as u64)
         );
     }
 }

@@ -25,7 +25,8 @@
 //!   swaps with automatic rollback — accuracy self-heals without a
 //!   restart, and a broken trainer can never take serving down;
 //! - **micro-batching** ([`batch::MicroBatcher`]) — singleton arrivals
-//!   are coalesced by a worker pool into batched stage calls
+//!   are coalesced, by the submitting threads themselves, into batched
+//!   stage calls
 //!   ([`EstimatorService::estimate_batch`](service::EstimatorService::estimate_batch)),
 //!   amortizing featurization and model forwards across the batch while
 //!   keeping per-request deadlines and per-row failure routing;

@@ -73,10 +73,11 @@ pub struct ServiceConfig {
     /// instead. Accepted truths in `(0, 1)` (sub-row cardinalities) are
     /// treated as 1 only inside the q-error computation itself.
     pub qerror_window: usize,
-    /// Worker threads a [`crate::batch::MicroBatcher`] runs over this
-    /// service (clamped to `>= 1` when a batcher is started).
+    /// Most batches one shard dispatches at once: the cap on concurrent
+    /// dispatches of a [`crate::batch::MicroBatcher`] over this service
+    /// (clamped to `>= 1`, and at most the compute pool's width).
     pub workers: usize,
-    /// Most requests a micro-batch worker coalesces into one batched
+    /// Most requests a micro-batcher coalesces into one batched
     /// dispatch (clamped to `>= 1`).
     pub max_batch_size: usize,
 }
@@ -1067,6 +1068,24 @@ mod tests {
         let svc = EstimatorService::new(vec![Arc::new(Constant(11.0))], ServiceConfig::default());
         let e = svc.estimate_within(&q(), Deadline::unbounded()).unwrap();
         assert_eq!(e.value, 11.0);
+    }
+
+    #[test]
+    fn duration_max_budget_is_answered_by_stage_zero() {
+        let svc = EstimatorService::new(
+            vec![Arc::new(Constant(11.0)), Arc::new(Constant(5.0))],
+            ServiceConfig {
+                default_budget: Duration::MAX,
+                ..ServiceConfig::default()
+            },
+        );
+        let e = svc
+            .estimate_within(&q(), Deadline::within(Duration::MAX))
+            .unwrap();
+        assert_eq!((e.value, e.fallback_depth), (11.0, 0));
+        let e = svc.estimate(&q()).unwrap();
+        assert_eq!((e.value, e.fallback_depth), (11.0, 0));
+        assert_eq!(svc.stats().deadline_exceeded, 0);
     }
 
     /// Fails rows whose index in the batch call sequence is odd — used
