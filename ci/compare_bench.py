@@ -14,6 +14,9 @@ violation before this script ever runs. What this script adds is the
   generously, because CI containers vary wildly in cores and load:
     - bench_optimizer: cache hit rate is structural (recurring
       sub-plans in the suite) and must stay >= 0.90 at any scale;
+      allocations per warm-cache plan are deterministic (a counting
+      allocator, not a clock) and must not rise above the committed
+      record;
     - bench_serve_net: correctness counters must be clean and fresh
       loopback throughput must be at least 10% of the committed qps —
       an order-of-magnitude collapse is a serving regression, a slow
@@ -47,6 +50,17 @@ def gate_optimizer(fresh, committed):
         )
     if fresh["hit_rate"] < 0.90:
         raise SystemExit("optimizer cache hit rate regressed below 90%")
+    if "allocs_per_plan" in committed:
+        print(
+            f"allocs_per_plan: committed={committed['allocs_per_plan']:.2f} "
+            f"fresh={fresh['allocs_per_plan']:.2f}"
+        )
+        if fresh["allocs_per_plan"] > committed["allocs_per_plan"]:
+            raise SystemExit(
+                "warm-cache planning allocates more than the committed record: "
+                f"{fresh['allocs_per_plan']:.2f} > {committed['allocs_per_plan']:.2f} "
+                "allocations per plan"
+            )
 
 
 def gate_serve_net(fresh, committed):

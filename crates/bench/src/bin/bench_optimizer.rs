@@ -1,7 +1,12 @@
 //! Optimizer throughput record for the sub-plan estimate cache: the full
 //! JOB-light-like suite is optimized repeatedly with a trained local-model
 //! estimator, once without any cross-call cache and once with a shared
-//! [`qfe_exec::EstimateCache`]. Writes the machine-readable record to
+//! [`qfe_exec::EstimateCache`]. Two more fields put those numbers in
+//! context: `planner_us_per_query`, the optimizer's own cost (a constant
+//! estimator, no cache — the floor the cached arm approaches), and
+//! `allocs_per_plan`, the heap allocations of one warm-cache plan, counted
+//! by this binary's counting global allocator (deterministic; CI fails if
+//! it rises above the committed record). Writes the machine-readable record to
 //! `BENCH_optimizer.json` (override with `QFE_BENCH_JSON`), prints the
 //! same numbers as text, and exits non-zero if the cached arm is slower
 //! than the uncached arm, if the cache's counter conservation law breaks
@@ -14,7 +19,32 @@ use std::time::{Duration, Instant};
 
 use qfe_bench::envs::ImdbEnv;
 use qfe_bench::trainers::{train_local_models, ModelKind, QftKind};
+use qfe_core::estimator::{CardinalityEstimator, Estimate};
+use qfe_core::{EstimateError, Query};
 use qfe_exec::{EstimateCache, Optimizer};
+use qfe_obs::alloc::{count_allocations, CountingAlloc};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// An estimator that costs nothing: a constant, without even the name
+/// allocation of the default `try_estimate`. Planning with it measures
+/// the optimizer alone.
+struct Constant;
+
+impl CardinalityEstimator for Constant {
+    fn name(&self) -> String {
+        "constant".into()
+    }
+
+    fn estimate(&self, _query: &Query) -> f64 {
+        10.0
+    }
+
+    fn try_estimate(&self, _query: &Query) -> Result<Estimate, EstimateError> {
+        Ok(Estimate::primary(10.0, String::new()))
+    }
+}
 
 /// Run `f` (which optimizes `per_iter` queries) repeatedly for at least
 /// `budget`, after one warmup call; returns microseconds per query.
@@ -75,6 +105,23 @@ fn main() {
         }
     });
 
+    // Warm-cache allocations: one more pass over the suite, every probe a
+    // hit.
+    let ((), allocs) = count_allocations(|| {
+        for q in queries {
+            std::hint::black_box(cached.optimize(q).expect("optimizable query"));
+        }
+    });
+    let allocs_per_plan = allocs as f64 / queries.len() as f64;
+
+    // The planner alone: a free estimator and no cache.
+    let planner = Optimizer::new(&Constant);
+    let planner_us = measure(queries.len(), budget, || {
+        for q in queries {
+            std::hint::black_box(planner.optimize(q).expect("optimizable query"));
+        }
+    });
+
     let speedup = uncached_us / cached_us;
     let stats = cache.stats();
     let conserved = stats.probes() == stats.hits + stats.misses;
@@ -86,6 +133,8 @@ fn main() {
     );
     println!("  uncached {uncached_us:>9.2} µs/query");
     println!("  cached   {cached_us:>9.2} µs/query   speedup {speedup:>5.2}×");
+    println!("  planner  {planner_us:>9.2} µs/query   (constant estimator, no cache)");
+    println!("  allocations per warm-cache plan: {allocs_per_plan:.2}");
     println!(
         "  cache: {} hits / {} misses ({:.1}% hit rate), {} evictions, {} invalidations",
         stats.hits,
@@ -96,12 +145,14 @@ fn main() {
     );
 
     let json = format!(
-        "{{\"workload\":\"joblight\",\"scale\":\"{}\",\"queries\":{},\"uncached_us_per_query\":{:.3},\"cached_us_per_query\":{:.3},\"speedup\":{:.2},\"hit_rate\":{:.4},\"hits\":{},\"misses\":{},\"evictions\":{},\"invalidations\":{}}}\n",
+        "{{\"workload\":\"joblight\",\"scale\":\"{}\",\"queries\":{},\"uncached_us_per_query\":{:.3},\"cached_us_per_query\":{:.3},\"speedup\":{:.2},\"planner_us_per_query\":{:.3},\"allocs_per_plan\":{:.2},\"hit_rate\":{:.4},\"hits\":{},\"misses\":{},\"evictions\":{},\"invalidations\":{}}}\n",
         scale.label,
         queries.len(),
         uncached_us,
         cached_us,
         speedup,
+        planner_us,
+        allocs_per_plan,
         stats.hit_rate(),
         stats.hits,
         stats.misses,

@@ -38,6 +38,8 @@
 //! sub-`Query` is cloned, no predicate vector copied, just to look up the
 //! cache ([`CanonicalQuery::subset_fingerprint`]).
 
+use std::ops::Range;
+
 use crate::predicate::{CmpOp, PredicateExpr, SimplePredicate};
 use crate::query::{ColumnRef, Query};
 use crate::schema::TableId;
@@ -112,9 +114,11 @@ impl std::fmt::Display for QueryFingerprint {
 /// two expressions with equal fingerprints featurize to bit-identical
 /// per-attribute segments.
 pub fn expr_fingerprint(expr: &PredicateExpr) -> u128 {
+    let mut enc = Encoder::default();
+    enc.expr(expr);
     let mut h = Fnv128::new();
     h.write(&[ENCODING_VERSION]);
-    h.write(&canon_expr(expr));
+    h.write(&enc.bytes);
     h.finish()
 }
 
@@ -161,63 +165,110 @@ fn encode_leaf(out: &mut Vec<u8>, p: &SimplePredicate) {
     encode_value(out, &p.value);
 }
 
-/// Canonical encoding of one AND/OR expression: flattened, children
-/// sorted by encoding and deduplicated, singleton wrappers unwrapped.
-/// `And([])` (true) and `Or([])` (false) stay distinct.
-fn canon_expr(expr: &PredicateExpr) -> Vec<u8> {
-    match expr {
-        PredicateExpr::Leaf(p) => {
-            let mut out = Vec::with_capacity(16);
-            encode_leaf(&mut out, p);
-            out
-        }
-        PredicateExpr::And(children) => canon_children(TAG_AND, children),
-        PredicateExpr::Or(children) => canon_children(TAG_OR, children),
-    }
+/// Canonical encoder that appends to one byte buffer. `parts` is the
+/// child-range stack shared by the whole recursion: a node pushes its
+/// children's ranges above the entries of its ancestors and pops them when
+/// it is done, so encoding a query allocates nothing per node.
+#[derive(Default)]
+struct Encoder {
+    bytes: Vec<u8>,
+    parts: Vec<(usize, usize)>,
 }
 
-fn canon_children(tag: u8, children: &[PredicateExpr]) -> Vec<u8> {
-    // Canonicalize and flatten: a child that canonicalized to the same
-    // node type splices its children in (associativity). Splicing is done
-    // on the *encoded* form — a same-tag child's encoding is
-    // `[tag][count u32][children…]`, so its body can be re-framed without
-    // re-walking the AST.
-    let mut parts: Vec<Vec<u8>> = Vec::with_capacity(children.len());
-    for child in children {
-        let enc = canon_expr(child);
-        if enc.first() == Some(&tag) {
-            let n = u32::from_le_bytes([enc[1], enc[2], enc[3], enc[4]]) as usize;
-            parts.extend(split_nodes(&enc[5..], n));
+impl Encoder {
+    /// Append the canonical encoding of one AND/OR expression: flattened,
+    /// children sorted by encoding and deduplicated, singleton wrappers
+    /// unwrapped. `And([])` (true) and `Or([])` (false) stay distinct.
+    fn expr(&mut self, expr: &PredicateExpr) {
+        match expr {
+            PredicateExpr::Leaf(p) => encode_leaf(&mut self.bytes, p),
+            PredicateExpr::And(children) => self.children(TAG_AND, children.iter()),
+            PredicateExpr::Or(children) => self.children(TAG_OR, children.iter()),
+        }
+    }
+
+    fn children<'e>(&mut self, tag: u8, children: impl Iterator<Item = &'e PredicateExpr>) {
+        let start = self.bytes.len();
+        let base = self.parts.len();
+        // Canonicalize and flatten: a child that canonicalized to the same
+        // node type splices its children in (associativity). Splicing is
+        // done on the *encoded* form — a same-tag child's encoding is
+        // `[tag][count u32][children…]`, so its body can be re-framed
+        // without re-walking the AST.
+        for child in children {
+            let at = self.bytes.len();
+            self.expr(child);
+            if self.bytes[at] == tag {
+                let b = &self.bytes;
+                let n = u32::from_le_bytes([b[at + 1], b[at + 2], b[at + 3], b[at + 4]]);
+                let mut pos = at + 5;
+                for _ in 0..n {
+                    let len = node_len(&b[pos..]);
+                    self.parts.push((pos, pos + len));
+                    pos += len;
+                }
+                debug_assert_eq!(pos, b.len(), "trailing bytes after {n} nodes");
+            } else {
+                self.parts.push((at, self.bytes.len()));
+            }
+        }
+        let b = &self.bytes;
+        let parts = &mut self.parts[base..];
+        parts.sort_unstable_by(|x, y| b[x.0..x.1].cmp(&b[y.0..y.1]));
+        let mut kept = 0;
+        for i in 0..parts.len() {
+            let (s, e) = parts[i];
+            if kept == 0 || b[parts[kept - 1].0..parts[kept - 1].1] != b[s..e] {
+                parts[kept] = (s, e);
+                kept += 1;
+            }
+        }
+        let end = self.bytes.len();
+        if kept == 1 {
+            // And([x]) ≡ Or([x]) ≡ x.
+            let (s, e) = parts[0];
+            self.bytes.copy_within(s..e, start);
+            self.bytes.truncate(start + (e - s));
         } else {
-            parts.push(enc);
+            self.bytes.push(tag);
+            push_u32(&mut self.bytes, kept as u32);
+            for &(s, e) in &self.parts[base..base + kept] {
+                self.bytes.extend_from_within(s..e);
+            }
+            self.bytes.copy_within(end.., start);
+            self.bytes.truncate(start + (self.bytes.len() - end));
         }
+        self.parts.truncate(base);
     }
-    parts.sort_unstable();
-    parts.dedup();
-    if parts.len() == 1 {
-        // And([x]) ≡ Or([x]) ≡ x.
-        return parts.pop().expect("len checked");
-    }
-    let mut out = Vec::with_capacity(5 + parts.iter().map(Vec::len).sum::<usize>());
-    out.push(tag);
-    push_u32(&mut out, parts.len() as u32);
-    for p in &parts {
-        out.extend_from_slice(p);
-    }
-    out
 }
 
-/// Split a concatenation of `n` encoded expression nodes back into the
-/// individual encodings (used to splice nested same-tag nodes).
-fn split_nodes(mut bytes: &[u8], n: usize) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = node_len(bytes);
-        out.push(bytes[..len].to_vec());
-        bytes = &bytes[len..];
+/// Length of `expr`'s encoding before flattening, deduplication and
+/// unwrapping (which only shrink it): a bound on its canonical encoding.
+fn raw_len(expr: &PredicateExpr) -> usize {
+    match expr {
+        PredicateExpr::Leaf(p) => match &p.value {
+            Value::Str(s) => 7 + s.len(),
+            Value::Int(_) | Value::Float(_) => 11,
+        },
+        PredicateExpr::And(children) | PredicateExpr::Or(children) => {
+            5 + children.iter().map(raw_len).sum::<usize>()
+        }
     }
-    debug_assert!(bytes.is_empty(), "trailing bytes after {n} nodes");
-    out
+}
+
+/// A bound on the arena bytes [`CanonicalQuery::new`] writes, so the arena
+/// is allocated once. Per predicate: its column chunk (9-byte header plus
+/// a grouping `And` frame and the expression) is at most doubled while its
+/// children are sorted, then copied once more into a table or orphan
+/// chunk (9 more bytes for an orphan header); per table, the 13-byte
+/// table header.
+fn arena_bound(query: &Query, tables: usize) -> usize {
+    let predicates: usize = query
+        .predicates
+        .iter()
+        .map(|cp| 3 * (14 + raw_len(&cp.expr)) + 9)
+        .sum();
+    predicates + 13 * tables
 }
 
 /// Byte length of the encoded expression node starting at `bytes[0]`.
@@ -256,125 +307,133 @@ fn node_len(bytes: &[u8]) -> usize {
 #[derive(Debug, Clone)]
 pub struct CanonicalQuery {
     tables: Vec<TableId>,
+    /// Every chunk's bytes, back to back; the chunks below are ranges into
+    /// it.
+    arena: Vec<u8>,
     /// One chunk per entry of `tables`: the table id plus its grouped,
     /// canonicalized predicates.
-    table_chunks: Vec<Vec<u8>>,
+    table_chunks: Vec<Range<usize>>,
     /// Sorted, deduplicated join chunks with the indices (into `tables`)
     /// of the two sides.
     join_chunks: Vec<JoinChunk>,
     /// Predicates on tables the query does not access (only possible on
-    /// queries that would fail validation). Included in
-    /// [`fingerprint`](Self::fingerprint) — they are part of the query —
-    /// but never in a subset: table-subset restriction (the optimizer's
-    /// `subset_query`) drops them.
-    orphan_chunks: Vec<Vec<u8>>,
+    /// queries that would fail validation), one chunk each, back to back.
+    /// Included in [`fingerprint`](Self::fingerprint) — they are part of
+    /// the query — but never in a subset: table-subset restriction (the
+    /// optimizer's `subset_query`) drops them.
+    orphans: Range<usize>,
 }
+
+/// Encoded length of a join chunk: tag plus four `u64` ids.
+const JOIN_CHUNK_LEN: usize = 33;
 
 #[derive(Debug, Clone)]
 struct JoinChunk {
     left_idx: usize,
     right_idx: usize,
-    bytes: Vec<u8>,
+    bytes: [u8; JOIN_CHUNK_LEN],
 }
 
 impl CanonicalQuery {
     /// Canonicalize `query` (see the module docs for the rules).
     pub fn new(query: &Query) -> Self {
-        let tables = query.sub_schema().tables().to_vec();
+        let mut tables = query.tables.clone();
+        tables.sort_unstable();
+        tables.dedup();
         let index_of = |t: TableId| tables.binary_search(&t).ok();
 
-        // Group predicate expressions per attribute; several compound
-        // predicates on one attribute conjoin (Definition 3.3 allows one
-        // per attribute; featurization already merges repeats the same
-        // way).
-        let mut per_column: Vec<(ColumnRef, Vec<&PredicateExpr>)> = Vec::new();
-        for cp in &query.predicates {
-            match per_column.iter_mut().find(|(c, _)| *c == cp.column) {
-                Some((_, exprs)) => exprs.push(&cp.expr),
-                None => per_column.push((cp.column, vec![&cp.expr])),
+        // Column chunks first, at the front of the arena: predicates are
+        // grouped per attribute, in order of first appearance; several
+        // compound predicates on one attribute conjoin (Definition 3.3
+        // allows one per attribute; featurization already merges repeats
+        // the same way).
+        let capacity = arena_bound(query, tables.len());
+        let mut enc = Encoder {
+            bytes: Vec::with_capacity(capacity),
+            parts: Vec::new(),
+        };
+        let mut columns: Vec<(ColumnRef, Range<usize>)> =
+            Vec::with_capacity(query.predicates.len());
+        for (i, cp) in query.predicates.iter().enumerate() {
+            let col = cp.column;
+            if query.predicates[..i].iter().any(|p| p.column == col) {
+                continue;
             }
+            let start = enc.bytes.len();
+            enc.bytes.push(TAG_COLUMN);
+            push_u64(&mut enc.bytes, col.column.0 as u64);
+            let exprs = query.predicates[i..].iter().filter(|p| p.column == col);
+            if exprs.clone().nth(1).is_none() {
+                enc.expr(&cp.expr);
+            } else {
+                enc.children(TAG_AND, exprs.map(|p| &p.expr));
+            }
+            columns.push((col, start..enc.bytes.len()));
         }
-        let mut column_chunks: Vec<(ColumnRef, Vec<u8>)> = per_column
-            .into_iter()
-            .map(|(col, exprs)| {
-                let canon = if exprs.len() == 1 {
-                    canon_expr(exprs[0])
-                } else {
-                    canon_children(
-                        TAG_AND,
-                        &exprs.iter().map(|e| (*e).clone()).collect::<Vec<_>>(),
-                    )
-                };
-                let mut chunk = Vec::with_capacity(17 + canon.len());
-                chunk.push(TAG_COLUMN);
-                push_u64(&mut chunk, col.column.0 as u64);
-                chunk.extend_from_slice(&canon);
-                (col, chunk)
-            })
-            .collect();
-        column_chunks.sort_by(|(a, ab), (b, bb)| a.cmp(b).then_with(|| ab.cmp(bb)));
+        let Encoder {
+            bytes: mut arena, ..
+        } = enc;
+        columns.sort_by(|(a, ar), (b, br)| {
+            a.cmp(b)
+                .then_with(|| arena[ar.clone()].cmp(&arena[br.clone()]))
+        });
 
+        // Then the table chunks, then the orphans, copied from the column
+        // chunks; the column chunks themselves are never hashed.
         let mut table_chunks = Vec::with_capacity(tables.len());
         for &t in &tables {
-            let mut chunk = Vec::new();
-            chunk.push(TAG_TABLE);
-            push_u64(&mut chunk, t.0 as u64);
-            let cols: Vec<&[u8]> = column_chunks
-                .iter()
-                .filter(|(c, _)| c.table == t)
-                .map(|(_, b)| b.as_slice())
-                .collect();
-            push_u32(&mut chunk, cols.len() as u32);
-            for c in cols {
-                chunk.extend_from_slice(c);
+            let start = arena.len();
+            arena.push(TAG_TABLE);
+            push_u64(&mut arena, t.0 as u64);
+            let cols = columns.iter().filter(|(c, _)| c.table == t);
+            push_u32(&mut arena, cols.clone().count() as u32);
+            for (_, r) in cols {
+                arena.extend_from_within(r.clone());
             }
-            table_chunks.push(chunk);
+            table_chunks.push(start..arena.len());
         }
+        let orphans_start = arena.len();
+        for (c, r) in &columns {
+            if index_of(c.table).is_none() {
+                arena.push(TAG_ORPHAN);
+                push_u64(&mut arena, c.table.0 as u64);
+                arena.extend_from_within(r.clone());
+            }
+        }
+        let orphans = orphans_start..arena.len();
+        debug_assert_eq!(arena.capacity(), capacity, "the arena outgrew its bound");
 
-        let orphan_chunks: Vec<Vec<u8>> = column_chunks
-            .iter()
-            .filter(|(c, _)| index_of(c.table).is_none())
-            .map(|(c, b)| {
-                let mut chunk = Vec::with_capacity(9 + b.len());
-                chunk.push(TAG_ORPHAN);
-                push_u64(&mut chunk, c.table.0 as u64);
-                chunk.extend_from_slice(b);
-                chunk
+        let mut join_chunks = Vec::with_capacity(query.joins.len());
+        join_chunks.extend(query.joins.iter().filter_map(|j| {
+            // Commutativity: order the sides by (table, column).
+            let (a, b) = if (j.left.table, j.left.column) <= (j.right.table, j.right.column) {
+                (j.left, j.right)
+            } else {
+                (j.right, j.left)
+            };
+            let (left_idx, right_idx) = (index_of(a.table)?, index_of(b.table)?);
+            let mut bytes = [TAG_JOIN; JOIN_CHUNK_LEN];
+            for (k, id) in [a.table.0, a.column.0, b.table.0, b.column.0]
+                .into_iter()
+                .enumerate()
+            {
+                bytes[1 + 8 * k..9 + 8 * k].copy_from_slice(&(id as u64).to_le_bytes());
+            }
+            Some(JoinChunk {
+                left_idx,
+                right_idx,
+                bytes,
             })
-            .collect();
-
-        let mut join_chunks: Vec<JoinChunk> = query
-            .joins
-            .iter()
-            .filter_map(|j| {
-                // Commutativity: order the sides by (table, column).
-                let (a, b) = if (j.left.table, j.left.column) <= (j.right.table, j.right.column) {
-                    (j.left, j.right)
-                } else {
-                    (j.right, j.left)
-                };
-                let (left_idx, right_idx) = (index_of(a.table)?, index_of(b.table)?);
-                let mut bytes = Vec::with_capacity(33);
-                bytes.push(TAG_JOIN);
-                push_u64(&mut bytes, a.table.0 as u64);
-                push_u64(&mut bytes, a.column.0 as u64);
-                push_u64(&mut bytes, b.table.0 as u64);
-                push_u64(&mut bytes, b.column.0 as u64);
-                Some(JoinChunk {
-                    left_idx,
-                    right_idx,
-                    bytes,
-                })
-            })
-            .collect();
-        join_chunks.sort_by(|a, b| a.bytes.cmp(&b.bytes));
+        }));
+        join_chunks.sort_by_key(|a| a.bytes);
         join_chunks.dedup_by(|a, b| a.bytes == b.bytes);
 
         CanonicalQuery {
             tables,
+            arena,
             table_chunks,
             join_chunks,
-            orphan_chunks,
+            orphans,
         }
     }
 
@@ -389,9 +448,7 @@ impl CanonicalQuery {
     pub fn fingerprint(&self) -> QueryFingerprint {
         let full = self.full_mask();
         let mut h = self.hash_subset(full);
-        for chunk in &self.orphan_chunks {
-            h.write(chunk);
-        }
+        h.write(&self.arena[self.orphans.clone()]);
         QueryFingerprint(h.finish())
     }
 
@@ -425,7 +482,7 @@ impl CanonicalQuery {
         while bits != 0 {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            h.write(&self.table_chunks[i]);
+            h.write(&self.arena[self.table_chunks[i].clone()]);
         }
         for j in &self.join_chunks {
             if mask >> j.left_idx & 1 == 1 && mask >> j.right_idx & 1 == 1 {

@@ -66,6 +66,15 @@ impl SubSchema {
     }
 }
 
+/// A sub-schema is its sorted table list: maps keyed by [`SubSchema`] can
+/// be searched with a sorted, deduplicated `&[TableId]` without building
+/// one.
+impl std::borrow::Borrow<[TableId]> for SubSchema {
+    fn borrow(&self) -> &[TableId] {
+        &self.0
+    }
+}
+
 /// A `SELECT count(*)` query over one or more joined tables with mixed
 /// selection predicates.
 #[derive(Debug, Clone, PartialEq)]

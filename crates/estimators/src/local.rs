@@ -150,7 +150,15 @@ impl CardinalityEstimator for LocalModelEstimator {
     }
 
     fn estimate(&self, query: &Query) -> f64 {
-        match self.models.get(&query.sub_schema()) {
+        // Sub-plans from the optimizer list their tables sorted and
+        // deduplicated already: look those up without building a
+        // `SubSchema`.
+        let model = if query.tables.windows(2).all(|w| w[0] < w[1]) {
+            self.models.get(query.tables.as_slice())
+        } else {
+            self.models.get(&query.sub_schema())
+        };
+        match model {
             Some(model) => model.estimate(query),
             // No local model for this sub-schema: compose with System-R
             // formulas if enabled, otherwise the most conservative legal
@@ -276,6 +284,10 @@ mod tests {
             let e = est.estimate(&q2);
             let q_err = (truth / e).max(e / truth);
             assert!(q_err < 2.0, "join lo={lo}: q-error {q_err}");
+            // Listing the tables out of order reaches the same model.
+            let mut reordered = q2.clone();
+            reordered.tables.reverse();
+            assert_eq!(est.estimate(&reordered), e);
         }
     }
 

@@ -54,8 +54,9 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 /// Result of [`EstimateCache::probe`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Probe {
-    /// The fingerprint was cached; here is the estimate.
-    Hit(Estimate),
+    /// The fingerprint was cached; here is the estimated cardinality
+    /// ([`Estimate::value`] of the filled estimate).
+    Hit(f64),
     /// Not cached. The token is the generation observed at probe time;
     /// pass it to [`EstimateCache::fill`] so a concurrent model swap
     /// cannot publish the (now stale) estimate.
@@ -98,7 +99,9 @@ impl CacheStats {
 }
 
 struct CacheState {
-    map: HashMap<u128, Estimate>,
+    /// Estimated cardinality per fingerprint: a hit returns the value
+    /// only, so it copies a float and allocates nothing.
+    map: HashMap<u128, f64>,
     /// Generation the cached entries were produced under.
     generation: u64,
 }
@@ -230,12 +233,11 @@ impl EstimateCache {
         let mut state = self.lock();
         let generation = self.sync_generation(&mut state);
         match state.map.get(&fp.0) {
-            Some(est) => {
-                let est = est.clone();
+            Some(&card) => {
                 drop(state);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.recorder.incr(HIT);
-                Probe::Hit(est)
+                Probe::Hit(card)
             }
             None => {
                 drop(state);
@@ -246,7 +248,8 @@ impl EstimateCache {
         }
     }
 
-    /// Publish the estimate computed for a [`Probe::Miss`]. Rejected
+    /// Publish the estimate computed for a [`Probe::Miss`] (only its
+    /// value is kept: hits answer the cardinality alone). Rejected
     /// (silently — the cache stays correct, the work is merely lost) if
     /// the generation moved since the probe, so stale estimates never
     /// enter a fresh cache. At capacity the whole table is swept (epoch
@@ -264,7 +267,7 @@ impl EstimateCache {
             self.evictions.fetch_add(dropped, Ordering::Relaxed);
             self.recorder.add(EVICT, dropped);
         }
-        state.map.insert(fp.0, estimate);
+        state.map.insert(fp.0, estimate.value);
     }
 
     /// Drop every entry unconditionally (counted as evictions).
@@ -313,7 +316,7 @@ mod tests {
             panic!("empty cache must miss");
         };
         cache.fill(fp(1), est(42.0), token);
-        assert_eq!(cache.probe(fp(1)), Probe::Hit(est(42.0)));
+        assert_eq!(cache.probe(fp(1)), Probe::Hit(42.0));
         assert!(matches!(cache.probe(fp(2)), Probe::Miss(_)));
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);

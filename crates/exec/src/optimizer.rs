@@ -10,7 +10,10 @@
 //! subsets (bushy plans allowed) with a hash-join cost model
 //! `cost(L ⋈ R) = cost(L) + cost(R) + |L| + |R| + |L ⋈ R|`,
 //! where all cardinalities come from the injected
-//! [`CardinalityEstimator`].
+//! [`CardinalityEstimator`]. The DP table is dense — one entry per subset
+//! mask holding the subset's cardinality, its best cost and a back-pointer
+//! (left input, connecting join) — and the winning [`JoinPlan`] tree is
+//! built once, from the back-pointers, after the DP finishes.
 //!
 //! # Estimation is fallible
 //!
@@ -24,21 +27,21 @@
 //!
 //! # Sub-plan estimate caching
 //!
-//! Estimates are memoized in two scopes, following Hyrise's
-//! `CardinalityEstimationCache` design:
-//!
-//! * **per-call** — always on, always sound: within one `optimize()` call
-//!   every semantically distinct sub-plan is estimated at most once, keyed
-//!   by its canonical [`QueryFingerprint`](qfe_core::fingerprint::QueryFingerprint).
-//! * **cross-call** — opt-in via [`Optimizer::with_cache`]: an
-//!   [`EstimateCache`] shared across `optimize()` calls (and threads)
-//!   answers sub-plans seen in earlier queries. Its generation protocol
-//!   invalidates everything when the underlying model hot-swaps.
+//! Within one `optimize()` call every table subset is estimated at most
+//! once by construction (the DP visits each mask once, and distinct masks
+//! are distinct table sets), so no per-call memo is kept. Across calls,
+//! [`Optimizer::with_cache`] installs an [`EstimateCache`] — Hyrise's
+//! `CardinalityEstimationCache` design — shared across `optimize()` calls
+//! (and threads) that answers sub-plans seen in earlier queries, keyed by
+//! their canonical
+//! [`QueryFingerprint`](qfe_core::fingerprint::QueryFingerprint). Its
+//! generation protocol invalidates everything when the underlying model
+//! hot-swaps.
 //!
 //! On a cache hit the sub-query is never materialized and never
-//! featurized; [`OptimizeStats`] reports how often that happened.
+//! featurized, and nothing is allocated; [`OptimizeStats`] reports how
+//! often that happened.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use qfe_core::error::EstimateError;
@@ -153,15 +156,16 @@ impl From<QfeError> for OptimizeError {
 /// Per-call estimation accounting of one [`Optimizer::optimize`] run.
 ///
 /// Conservation law (asserted in tests and by `bench_optimizer`): every
-/// sub-plan estimate request is exactly one of a per-call hit, a
-/// cross-call hit, or a miss — `probes == call_hits + cross_hits +
-/// misses`.
+/// sub-plan estimate request is exactly one of a cross-call hit or a miss
+/// — `probes == call_hits + cross_hits + misses`, with `call_hits`
+/// always `0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizeStats {
     /// Sub-plan estimate requests issued by the dynamic program.
     pub probes: u64,
-    /// Probes answered by the per-call memo (same fingerprint seen earlier
-    /// in this `optimize()` call).
+    /// Always `0`: the DP probes every table subset once, so a per-call
+    /// memo could never hit and none is kept. The field stays so existing
+    /// readers of the stats keep compiling.
     pub call_hits: u64,
     /// Probes answered by the shared cross-call [`EstimateCache`].
     pub cross_hits: u64,
@@ -210,77 +214,137 @@ pub struct Optimizer<'a, E: CardinalityEstimator> {
     recorder: Arc<dyn Recorder>,
 }
 
-/// Everything about one query the sub-plan loop needs, precomputed once
-/// per `optimize()` call: the canonical form (for O(sub-plan-size)
-/// fingerprints), and per-join / per-predicate membership bit masks so
-/// materializing a sub-query never scans a `Vec<TableId>`.
-struct SubsetCtx<'q> {
-    query: &'q Query,
-    canon: CanonicalQuery,
-    tables: Vec<TableId>,
-    /// `(left_bit | right_bit, join)` for every join whose sides are both
-    /// known tables; a join belongs to `mask` iff `mask & m == m`.
-    join_masks: Vec<(u32, JoinPredicate)>,
-    /// Bit of each predicate's table (parallel to `query.predicates`);
-    /// `0` for predicates on tables outside the accessed set, which no
-    /// sub-query includes (mirroring [`subset_query`]).
+/// Most tables one `optimize()` call plans (the DP table has `2^n`
+/// entries).
+const MAX_TABLES: usize = 20;
+
+/// Membership bits of a query's joins and predicates over one table list:
+/// the restriction rules of [`subset_query`], computed once so that
+/// restricting to a subset mask is a bit test per join and predicate.
+struct Restriction {
+    /// `(left_bit, right_bit)` of every join, parallel to `query.joins`;
+    /// a side on a table outside the list has bit `0`, so that join
+    /// belongs to no subset and connects no split.
+    join_bits: Vec<(u32, u32)>,
+    /// Bit of each predicate's table, parallel to `query.predicates`; `0`
+    /// for tables outside the list, which no subset includes.
     pred_bits: Vec<u32>,
 }
 
-impl<'q> SubsetCtx<'q> {
-    fn new(query: &'q Query, tables: Vec<TableId>) -> Self {
-        let index_of: HashMap<TableId, usize> =
-            tables.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let bit = |t: TableId| index_of.get(&t).map_or(0u32, |&i| 1 << i);
-        let join_masks = query
-            .joins
-            .iter()
-            .filter_map(|j| {
-                let (l, r) = (bit(j.left.table), bit(j.right.table));
-                (l != 0 && r != 0).then_some((l | r, *j))
-            })
-            .collect();
-        let pred_bits = query
-            .predicates
-            .iter()
-            .map(|cp| bit(cp.column.table))
-            .collect();
-        SubsetCtx {
-            query,
-            canon: CanonicalQuery::new(query),
-            tables,
-            join_masks,
-            pred_bits,
+impl Restriction {
+    fn new(query: &Query, tables: &[TableId]) -> Self {
+        // A table listed twice takes its last position (the optimizer's
+        // lists hold no duplicates).
+        let bit = |t: TableId| {
+            tables
+                .iter()
+                .rposition(|&x| x == t)
+                .map_or(0u32, |i| 1 << i)
+        };
+        Restriction {
+            join_bits: query
+                .joins
+                .iter()
+                .map(|j| (bit(j.left.table), bit(j.right.table)))
+                .collect(),
+            pred_bits: query
+                .predicates
+                .iter()
+                .map(|cp| bit(cp.column.table))
+                .collect(),
         }
     }
 
-    /// Materialize the sub-query for `mask` (only reached on cache
-    /// misses — hits never clone a predicate).
-    fn subset_query(&self, mask: u32) -> Query {
-        Query {
-            tables: self
-                .tables
+    /// Overwrite `out` with `query` restricted to the tables of `mask`:
+    /// those tables, the joins with both sides among them and the
+    /// predicates on them. `out`'s buffers are reused.
+    fn restrict_into(&self, query: &Query, tables: &[TableId], mask: u32, out: &mut Query) {
+        out.tables.clear();
+        out.tables.extend(
+            tables
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| mask >> i & 1 == 1)
-                .map(|(_, &t)| t)
-                .collect(),
-            joins: self
-                .join_masks
+                .map(|(_, &t)| t),
+        );
+        out.joins.clear();
+        out.joins.extend(
+            query
+                .joins
                 .iter()
-                .filter(|(m, _)| mask & m == *m)
-                .map(|(_, j)| *j)
-                .collect(),
-            predicates: self
-                .query
+                .zip(&self.join_bits)
+                .filter(|(_, &(l, r))| mask & l != 0 && mask & r != 0)
+                .map(|(j, _)| *j),
+        );
+        out.predicates.clear();
+        out.predicates.extend(
+            query
                 .predicates
                 .iter()
                 .zip(&self.pred_bits)
-                .filter(|(_, &b)| b != 0 && mask & b != 0)
-                .map(|(cp, _)| cp.clone())
-                .collect(),
+                .filter(|(_, &b)| mask & b != 0)
+                .map(|(cp, _)| cp.clone()),
+        );
+    }
+
+    /// Index (into `query.joins`) of the first join with one side in
+    /// `left` and the other in `right`.
+    fn connecting_join(&self, left: u32, right: u32) -> Option<usize> {
+        self.join_bits.iter().position(|&(l, r)| {
+            (l & left != 0 && r & right != 0) || (l & right != 0 && r & left != 0)
+        })
+    }
+}
+
+/// Everything about one query the sub-plan loop needs, precomputed once
+/// per `optimize()` call: the canonical form (for O(sub-plan-size)
+/// fingerprints; its sorted table list is the one subset masks index) and
+/// the restriction bits, so materializing a sub-query never scans a
+/// `Vec<TableId>`.
+struct SubsetCtx<'q> {
+    query: &'q Query,
+    canon: CanonicalQuery,
+    restriction: Restriction,
+}
+
+impl<'q> SubsetCtx<'q> {
+    fn new(query: &'q Query) -> Self {
+        let canon = CanonicalQuery::new(query);
+        let restriction = Restriction::new(query, canon.tables());
+        SubsetCtx {
+            query,
+            canon,
+            restriction,
         }
     }
+
+    fn tables(&self) -> &[TableId] {
+        self.canon.tables()
+    }
+}
+
+/// One DP table entry, indexed by its table-subset mask.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Estimated cardinality of the subset (set for every estimated
+    /// subset, planned or not).
+    card: f64,
+    /// Cost of the best plan.
+    cost: f64,
+    /// Back-pointer: the best plan's left input (a proper submask), the
+    /// mask itself for a single-table scan, `0` while no plan is known.
+    left: u32,
+    /// Index into `query.joins` of the join connecting the two inputs.
+    join: u32,
+}
+
+impl Entry {
+    const UNPLANNED: Entry = Entry {
+        card: 0.0,
+        cost: 0.0,
+        left: 0,
+        join: 0,
+    };
 }
 
 impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
@@ -323,19 +387,24 @@ impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
     /// sub-plan — estimation failures abort planning instead of being
     /// silently replaced.
     pub fn optimize(&self, query: &Query) -> Result<OptimizedPlan, OptimizeError> {
-        let tables = query.sub_schema().tables().to_vec();
-        let n = tables.len();
-        if n == 0 {
+        if query.tables.is_empty() {
             return Err(QfeError::InvalidQuery("query accesses no table".into()).into());
         }
-        if n > 20 {
+        let ctx = SubsetCtx::new(query);
+        if ctx.tables().len() > MAX_TABLES {
             return Err(
                 QfeError::UnsupportedQuery("optimizer supports at most 20 tables".into()).into(),
             );
         }
-        let ctx = SubsetCtx::new(query, tables);
-        let mut state = CallState::default();
-        let result = self.optimize_inner(&ctx, &mut state, n);
+        let mut state = CallState {
+            sub: Query {
+                tables: Vec::new(),
+                joins: Vec::new(),
+                predicates: Vec::new(),
+            },
+            stats: OptimizeStats::default(),
+        };
+        let result = self.optimize_inner(&ctx, &mut state);
         self.recorder.set_gauge(
             CACHE_HIT_RATE_PCT,
             (state.stats.hit_rate() * 100.0).round() as u64,
@@ -348,88 +417,85 @@ impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
         })
     }
 
+    /// The DP over connected subsets, on a dense table indexed by subset
+    /// mask. Subsets are visited in increasing mask order (every proper
+    /// submask before its superset); each is estimated before its splits
+    /// are enumerated, the splits in decreasing order of the left input,
+    /// and the first strictly cheaper one wins.
     fn optimize_inner(
         &self,
         ctx: &SubsetCtx<'_>,
         state: &mut CallState,
-        n: usize,
     ) -> Result<(JoinPlan, f64, f64), OptimizeError> {
-        if n == 1 {
-            let card = self.subset_estimate(ctx, state, 1)?;
-            return Ok((JoinPlan::Scan(ctx.tables[0]), card, card));
+        let n = ctx.tables().len();
+        let mut adjacency = [0u32; MAX_TABLES];
+        for &(l, r) in &ctx.restriction.join_bits {
+            if l != 0 && r != 0 {
+                adjacency[l.trailing_zeros() as usize] |= r;
+                adjacency[r.trailing_zeros() as usize] |= l;
+            }
         }
 
-        // Adjacency as table-index bit masks.
-        let index_of: HashMap<TableId, usize> = ctx
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i))
-            .collect();
-        let mut adjacency = vec![0u32; n];
-        for (m, _) in &ctx.join_masks {
-            let l = m.trailing_zeros() as usize;
-            let r = (31 - m.leading_zeros()) as usize;
-            adjacency[l] |= 1 << r;
-            adjacency[r] |= 1 << l;
-        }
-
-        // DP over connected subsets.
         let full = (1u32 << n) - 1;
-        let mut best: HashMap<u32, (f64, JoinPlan)> = HashMap::new();
-        let mut cards: HashMap<u32, f64> = HashMap::new();
-        for (i, &t) in ctx.tables.iter().enumerate() {
+        let mut dp = vec![Entry::UNPLANNED; 1 << n];
+        for i in 0..n {
             let mask = 1u32 << i;
             let card = self.subset_estimate(ctx, state, mask)?;
-            cards.insert(mask, card);
-            best.insert(mask, (card, JoinPlan::Scan(t)));
+            dp[mask as usize] = Entry {
+                card,
+                cost: card,
+                left: mask,
+                join: 0,
+            };
         }
         for mask in 1..=full {
-            if mask.count_ones() < 2 || !subset_connected(mask, &adjacency) {
+            if mask.is_power_of_two() || !subset_connected(mask, &adjacency) {
                 continue;
             }
             let card = self.subset_estimate(ctx, state, mask)?;
-            cards.insert(mask, card);
-            let mut best_here: Option<(f64, JoinPlan)> = None;
-            // Enumerate proper sub-splits (left = submask containing the
-            // lowest bit to halve the enumeration).
+            let mut best = Entry {
+                card,
+                ..Entry::UNPLANNED
+            };
+            // Splits whose left input holds the lowest bit (halving the
+            // enumeration): `s` walks the submasks of the other bits.
             let low = mask & mask.wrapping_neg();
-            let mut left = (mask - 1) & mask;
-            while left != 0 {
+            let rest = mask ^ low;
+            let mut s = rest;
+            while s != 0 {
+                s = (s - 1) & rest;
+                let left = low | s;
                 let right = mask ^ left;
-                if left & low != 0 && best.contains_key(&left) && best.contains_key(&right) {
-                    if let Some(join) = connecting_join(ctx.query, &index_of, left, right) {
-                        let (lc, lp) = &best[&left];
-                        let (rc, rp) = &best[&right];
-                        let cost = lc + rc + cards[&left] + cards[&right] + card;
-                        if best_here.as_ref().is_none_or(|(c, _)| cost < *c) {
-                            best_here = Some((
-                                cost,
-                                JoinPlan::Join {
-                                    left: Box::new(lp.clone()),
-                                    right: Box::new(rp.clone()),
-                                    join,
-                                },
-                            ));
-                        }
-                    }
+                let (l, r) = (dp[left as usize], dp[right as usize]);
+                if l.left == 0 || r.left == 0 {
+                    continue;
                 }
-                left = (left - 1) & mask;
+                let Some(join) = ctx.restriction.connecting_join(left, right) else {
+                    continue;
+                };
+                let cost = l.cost + r.cost + l.card + r.card + card;
+                if best.left == 0 || cost < best.cost {
+                    best.cost = cost;
+                    best.left = left;
+                    best.join = join as u32;
+                }
             }
-            if let Some(b) = best_here {
-                best.insert(mask, b);
-            }
+            dp[mask as usize] = best;
         }
 
-        let (cost, plan) = best.remove(&full).ok_or_else(|| {
-            QfeError::InvalidQuery("join graph does not connect all accessed tables".into())
-        })?;
-        Ok((plan, cost, cards[&full]))
+        let root = dp[full as usize];
+        if root.left == 0 {
+            return Err(QfeError::InvalidQuery(
+                "join graph does not connect all accessed tables".into(),
+            )
+            .into());
+        }
+        Ok((build_plan(&dp, ctx, full), root.cost, root.card))
     }
 
     /// Estimated cardinality of the query restricted to the tables in
-    /// `mask`, through both cache scopes (per-call memo, then the shared
-    /// cross-call cache), reaching the estimator only on a double miss.
+    /// `mask`, through the cross-call cache when one is installed,
+    /// reaching the estimator only on a miss.
     fn subset_estimate(
         &self,
         ctx: &SubsetCtx<'_>,
@@ -437,29 +503,25 @@ impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
         mask: u32,
     ) -> Result<f64, OptimizeError> {
         state.stats.probes += 1;
-        let fp = ctx.canon.subset_fingerprint(mask);
-        if let Some(&card) = state.per_call.get(&fp.0) {
-            state.stats.call_hits += 1;
-            return Ok(card);
-        }
-        let token = match &self.cache {
-            Some(cache) => match cache.probe(fp) {
-                Probe::Hit(est) => {
+        let mut fill = None;
+        if let Some(cache) = &self.cache {
+            let fp = ctx.canon.subset_fingerprint(mask);
+            match cache.probe(fp) {
+                Probe::Hit(card) => {
                     state.stats.cross_hits += 1;
-                    state.per_call.insert(fp.0, est.value);
-                    return Ok(est.value);
+                    return Ok(card);
                 }
-                Probe::Miss(token) => Some(token),
-            },
-            None => None,
-        };
-        let sub = ctx.subset_query(mask);
-        let est = match self.estimator.try_estimate(&sub) {
+                Probe::Miss(token) => fill = Some((cache, fp, token)),
+            }
+        }
+        ctx.restriction
+            .restrict_into(ctx.query, ctx.tables(), mask, &mut state.sub);
+        let est = match self.estimator.try_estimate(&state.sub) {
             Ok(est) => est,
             Err(error) => {
                 self.recorder.incr(ESTIMATE_FAIL);
                 return Err(OptimizeError::Estimate {
-                    tables: sub.tables,
+                    tables: std::mem::take(&mut state.sub.tables),
                     error,
                 });
             }
@@ -469,49 +531,45 @@ impl<'a, E: CardinalityEstimator> Optimizer<'a, E> {
             state.stats.fallbacks += 1;
             state.stats.max_fallback_depth = state.stats.max_fallback_depth.max(est.fallback_depth);
         }
-        if let (Some(cache), Some(token)) = (&self.cache, token) {
-            cache.fill(fp, est.clone(), token);
+        let card = est.value;
+        if let Some((cache, fp, token)) = fill {
+            cache.fill(fp, est, token);
         }
-        state.per_call.insert(fp.0, est.value);
-        Ok(est.value)
+        Ok(card)
     }
 }
 
-/// Per-`optimize()` mutable state: the always-on per-call memo plus the
-/// call's [`OptimizeStats`].
-#[derive(Default)]
+/// Rebuild the best plan for `mask` from the DP's back-pointers.
+fn build_plan(dp: &[Entry], ctx: &SubsetCtx<'_>, mask: u32) -> JoinPlan {
+    let e = dp[mask as usize];
+    if e.left == mask {
+        return JoinPlan::Scan(ctx.tables()[mask.trailing_zeros() as usize]);
+    }
+    JoinPlan::Join {
+        left: Box::new(build_plan(dp, ctx, e.left)),
+        right: Box::new(build_plan(dp, ctx, mask ^ e.left)),
+        join: ctx.query.joins[e.join as usize],
+    }
+}
+
+/// Per-`optimize()` mutable state: the sub-query buffer every miss
+/// restricts into, and the call's [`OptimizeStats`].
 struct CallState {
-    per_call: HashMap<u128, f64>,
+    sub: Query,
     stats: OptimizeStats,
 }
 
 /// The query restricted to the tables selected by `mask`: their joins and
-/// predicates only. Membership is decided by bit tests against an index
-/// built once — no per-join or per-predicate scan of the table list.
+/// predicates only. Bit `i` of `mask` selects `tables[i]`; joins and
+/// predicates on tables outside `tables` are never included.
 pub fn subset_query(query: &Query, tables: &[TableId], mask: u32) -> Query {
-    let index_of: HashMap<TableId, usize> =
-        tables.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-    let in_mask = |t: TableId| index_of.get(&t).is_some_and(|&i| mask >> i & 1 == 1);
-    Query {
-        joins: query
-            .joins
-            .iter()
-            .filter(|j| in_mask(j.left.table) && in_mask(j.right.table))
-            .cloned()
-            .collect(),
-        predicates: query
-            .predicates
-            .iter()
-            .filter(|cp| in_mask(cp.column.table))
-            .cloned()
-            .collect(),
-        tables: tables
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask >> i & 1 == 1)
-            .map(|(_, &t)| t)
-            .collect(),
-    }
+    let mut out = Query {
+        tables: Vec::new(),
+        joins: Vec::new(),
+        predicates: Vec::new(),
+    };
+    Restriction::new(query, tables).restrict_into(query, tables, mask, &mut out);
+    out
 }
 
 fn subset_connected(mask: u32, adjacency: &[u32]) -> bool {
@@ -532,24 +590,12 @@ fn subset_connected(mask: u32, adjacency: &[u32]) -> bool {
     reached == mask
 }
 
-fn connecting_join(
-    query: &Query,
-    index_of: &HashMap<TableId, usize>,
-    left: u32,
-    right: u32,
-) -> Option<JoinPredicate> {
-    query.joins.iter().copied().find(|j| {
-        let l = 1u32 << index_of[&j.left.table];
-        let r = 1u32 << index_of[&j.right.table];
-        (l & left != 0 && r & right != 0) || (l & right != 0 && r & left != 0)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qfe_core::query::ColumnRef;
     use qfe_core::ColumnId;
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Estimator with hardcoded per-sub-schema cardinalities, to force
@@ -867,5 +913,176 @@ mod tests {
         let sub = subset_query(&q, &t(&[0, 1]), 0b11);
         assert_eq!(sub.tables, t(&[0, 1]));
         assert!(sub.predicates.is_empty());
+    }
+
+    /// Cardinality of every table set, drawn once per set from a seeded
+    /// generator over several orders of magnitude, so that float rounding
+    /// of the cost sums matters.
+    fn random_cards(tables: &[TableId], rng: &mut impl rand::Rng) -> HashMap<Vec<TableId>, f64> {
+        let mut sorted = tables.to_vec();
+        sorted.sort();
+        (1u32..1 << sorted.len())
+            .map(|mask| {
+                let set: Vec<TableId> = sorted
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, &t)| t)
+                    .collect();
+                let card = 1.0 + rng.gen::<f64>() * 10f64.powi(rng.gen_range(0..7));
+                (set, card)
+            })
+            .collect()
+    }
+
+    /// The cost of every bushy plan of `mask` whose joins each have a
+    /// connecting join predicate, enumerated tree by tree, with the left
+    /// input holding the subset's lowest table and the cost summed as
+    /// `lc + rc + |L| + |R| + |L ⋈ R|`. Empty if no plan exists.
+    fn brute_force(mask: u32, joins: &[(u32, u32)], card: &dyn Fn(u32) -> f64) -> Vec<f64> {
+        if mask.is_power_of_two() {
+            return vec![card(mask)];
+        }
+        let low = mask & mask.wrapping_neg();
+        let mut costs = Vec::new();
+        for left in 1..mask {
+            let right = mask ^ left;
+            if left & mask != left || left & low == 0 {
+                continue;
+            }
+            let connects = joins.iter().any(|&(l, r)| {
+                (l & left != 0 && r & right != 0) || (l & right != 0 && r & left != 0)
+            });
+            if !connects {
+                continue;
+            }
+            let (lcs, rcs) = (
+                brute_force(left, joins, card),
+                brute_force(right, joins, card),
+            );
+            for &lc in &lcs {
+                for &rc in &rcs {
+                    costs.push(lc + rc + card(left) + card(right) + card(mask));
+                }
+            }
+        }
+        costs
+    }
+
+    /// Recompute a plan's cost from its tree; also checks that every join
+    /// node's predicate connects its two inputs.
+    fn tree_cost(plan: &JoinPlan, cards: &HashMap<Vec<TableId>, f64>) -> f64 {
+        let card_of = |p: &JoinPlan| {
+            let mut set = p.tables();
+            set.sort();
+            cards[&set]
+        };
+        match plan {
+            JoinPlan::Scan(_) => card_of(plan),
+            JoinPlan::Join { left, right, join } => {
+                let (lt, rt) = (left.tables(), right.tables());
+                assert!(
+                    (lt.contains(&join.left.table) && rt.contains(&join.right.table))
+                        || (lt.contains(&join.right.table) && rt.contains(&join.left.table)),
+                    "join {join:?} does not connect {}",
+                    plan.render()
+                );
+                tree_cost(left, cards)
+                    + tree_cost(right, cards)
+                    + card_of(left)
+                    + card_of(right)
+                    + card_of(plan)
+            }
+        }
+    }
+
+    #[test]
+    fn dp_cost_is_the_exhaustive_minimum_over_random_join_graphs() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0D9);
+        let edge = |a: TableId, b: TableId, c: usize| JoinPredicate {
+            left: ColumnRef::new(a, ColumnId(c)),
+            right: ColumnRef::new(b, ColumnId(c + 1)),
+        };
+        let mut checked = 0;
+        for case in 0..300 {
+            let n = 2 + case % 5;
+            // Sparse, shuffled table ids: bit i of a mask is the i-th
+            // smallest id, not the i-th listed table.
+            let mut ids: Vec<TableId> = (0..n).map(|i| TableId(3 * i + 1)).collect();
+            ids.shuffle(&mut rng);
+            let mut pairs: Vec<(usize, usize)> = match case / 5 % 5 {
+                0 => (1..n).map(|i| (i - 1, i)).collect(),       // chain
+                1 => (1..n).map(|i| (0, i)).collect(),           // star
+                2 => (0..n).map(|i| (i, (i + 1) % n)).collect(), // cycle
+                3 => (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                    .collect(), // clique
+                _ => (1..n).map(|i| (rng.gen_range(0..i), i)).collect(), // random tree
+            };
+            // Extra edges, and duplicate edges (either orientation).
+            for _ in 0..rng.gen_range(0..3) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    pairs.push((a, b));
+                }
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let &(a, b) = pairs.choose(&mut rng).unwrap();
+                pairs.push(if rng.gen_bool(0.5) { (a, b) } else { (b, a) });
+            }
+            pairs.shuffle(&mut rng);
+            let query = Query {
+                tables: ids.clone(),
+                joins: pairs
+                    .iter()
+                    .map(|&(a, b)| edge(ids[a], ids[b], rng.gen_range(0..3)))
+                    .collect(),
+                predicates: vec![],
+            };
+            let cards = random_cards(&ids, &mut rng);
+            let est = Scripted(cards.clone());
+            let plan = Optimizer::new(&est).optimize(&query).unwrap();
+
+            let mut sorted = ids.clone();
+            sorted.sort();
+            let bit = |t: TableId| 1u32 << sorted.iter().position(|&x| x == t).unwrap();
+            let joins: Vec<(u32, u32)> = query
+                .joins
+                .iter()
+                .map(|j| (bit(j.left.table), bit(j.right.table)))
+                .collect();
+            let card = |mask: u32| {
+                let set: Vec<TableId> = sorted
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, &t)| t)
+                    .collect();
+                cards[&set]
+            };
+            let full = (1u32 << n) - 1;
+            let best = brute_force(full, &joins, &card)
+                .into_iter()
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(
+                plan.cost.to_bits(),
+                best.to_bits(),
+                "case {case}: {}",
+                plan.plan.render()
+            );
+            assert_eq!(
+                tree_cost(&plan.plan, &cards).to_bits(),
+                plan.cost.to_bits(),
+                "case {case}"
+            );
+            assert_eq!(plan.estimated_cardinality, card(full));
+            let mut planned = plan.plan.tables();
+            planned.sort();
+            assert_eq!(planned, sorted);
+            checked += 1;
+        }
+        assert_eq!(checked, 300);
     }
 }

@@ -577,11 +577,20 @@ impl TreeBuilder<'_> {
             }
         }
         if let Some((_, b_sum, b_cnt)) = b.as_mut().filter(|(side, ..)| side.derived) {
-            for (cb, ca) in b_cnt.iter_mut().zip(a_cnt.iter()) {
-                *cb -= ca;
-            }
-            for ((sb, sa), cb) in b_sum.iter_mut().zip(a_sum.iter()).zip(b_cnt.iter()) {
-                *sb = if *cb == 0 { 0.0 } else { *sb - sa };
+            // One pass over the bins. An empty bin's sum is exactly +0.0
+            // (the subtraction could leave rounding residue); it is cleared
+            // by masking the difference's bits on the fresh count, not by
+            // a branch, which mispredicts on sparse histograms.
+            for (((cb, ca), sb), sa) in b_cnt
+                .iter_mut()
+                .zip(&*a_cnt)
+                .zip(b_sum.iter_mut())
+                .zip(&*a_sum)
+            {
+                let c = *cb - ca;
+                *cb = c;
+                let keep = u64::from(c != 0).wrapping_neg();
+                *sb = f64::from_bits((*sb - sa).to_bits() & keep);
             }
         }
         let (mut best_a, mut best_b) = (None, None);

@@ -37,6 +37,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(missing_docs)]
 
+pub mod alloc;
 pub mod drift;
 pub mod hist;
 pub mod observed;
