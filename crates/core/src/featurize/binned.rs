@@ -460,7 +460,6 @@ impl BinnedFeatureMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::featurize::FeatureVec;
     use crate::predicate::{CmpOp, CompoundPredicate, SimplePredicate};
     use crate::query::ColumnRef;
     use crate::schema::{ColumnId, TableId};
@@ -598,12 +597,13 @@ mod tests {
             2
         }
 
-        fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError> {
+        fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {
             if query.predicates.len() % 2 == 1 {
                 return Err(QfeError::UnsupportedQuery("odd".into()));
             }
             let n = query.predicates.len() as f32;
-            Ok(FeatureVec(vec![n, n + 0.4]))
+            out.copy_from_slice(&[n, n + 0.4]);
+            Ok(())
         }
     }
 

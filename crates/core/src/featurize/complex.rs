@@ -36,7 +36,7 @@ use crate::featurize::conjunctive::{
     bin_predicated_segments, distinct_columns, featurize_conjunct_into,
 };
 use crate::featurize::space::AttributeSpace;
-use crate::featurize::{group_by_column, FeatureBinner, FeatureVec, Featurizer};
+use crate::featurize::{group_by_column, FeatureBinner, Featurizer};
 use crate::interval::{Region, RegionSet};
 use crate::predicate::{DnfTerms, PredicateExpr};
 use crate::query::{ColumnRef, Query};
@@ -216,12 +216,6 @@ impl Featurizer for LimitedDisjunctionEncoding {
 
     fn dim(&self) -> usize {
         self.offsets[self.space.len()]
-    }
-
-    fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError> {
-        let mut out = vec![0.0f32; self.dim()];
-        self.encode_into(query, &mut out)?;
-        Ok(FeatureVec(out))
     }
 
     fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {

@@ -16,7 +16,7 @@
 use crate::error::QfeError;
 use crate::featurize::conjunctive::featurize_conjunct_buckets_into;
 use crate::featurize::space::AttributeSpace;
-use crate::featurize::{group_by_column, FeatureVec, Featurizer};
+use crate::featurize::{group_by_column, Featurizer};
 use crate::interval::{Region, RegionSet};
 use crate::query::Query;
 
@@ -155,12 +155,6 @@ impl Featurizer for EquiDepthConjunctionEncoding {
 
     fn dim(&self) -> usize {
         self.offsets[self.space.len()]
-    }
-
-    fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError> {
-        let mut out = vec![0.0f32; self.dim()];
-        self.encode_into(query, &mut out)?;
-        Ok(FeatureVec(out))
     }
 
     fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {

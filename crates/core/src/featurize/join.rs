@@ -8,7 +8,7 @@
 //! the model choice itself identifies the sub-schema.
 
 use crate::error::QfeError;
-use crate::featurize::{FeatureVec, Featurizer};
+use crate::featurize::{check_out_len, Featurizer};
 use crate::query::Query;
 
 /// Wraps any featurizer and appends the table-presence bit vector,
@@ -40,17 +40,18 @@ impl<F: Featurizer> Featurizer for GlobalTableEncoding<F> {
         self.inner.dim() + self.table_count
     }
 
-    fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError> {
-        let mut vec = self.inner.featurize(query)?.0;
-        let mut bits = vec![0.0f32; self.table_count];
+    fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {
+        check_out_len(self.dim(), out.len())?;
+        let (features, bits) = out.split_at_mut(self.inner.dim());
+        self.inner.featurize_into(query, features)?;
+        bits.fill(0.0);
         for t in &query.tables {
             if t.0 >= self.table_count {
                 return Err(QfeError::UnknownTable(format!("table id {}", t.0)));
             }
             bits[t.0] = 1.0;
         }
-        vec.extend_from_slice(&bits);
-        Ok(FeatureVec(vec))
+        Ok(())
     }
 }
 

@@ -149,7 +149,6 @@ impl FeatureMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::featurize::FeatureVec;
     use crate::schema::TableId;
 
     /// Featurizer that rejects queries with an odd number of predicates.
@@ -164,12 +163,13 @@ mod tests {
             2
         }
 
-        fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError> {
+        fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {
             if query.predicates.len() % 2 == 1 {
                 return Err(QfeError::UnsupportedQuery("odd".into()));
             }
             let n = query.predicates.len() as f32;
-            Ok(FeatureVec(vec![n, n + 0.5]))
+            out.copy_from_slice(&[n, n + 0.5]);
+            Ok(())
         }
     }
 

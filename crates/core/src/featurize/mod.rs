@@ -77,26 +77,27 @@ pub trait Featurizer: Send + Sync {
     /// Length of every produced feature vector.
     fn dim(&self) -> usize;
 
-    /// Encode `query` into a feature vector of length [`Featurizer::dim`].
-    fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError>;
+    /// Encode `query` into a feature vector of length [`Featurizer::dim`]:
+    /// a zeroed vector filled by [`featurize_into`](Self::featurize_into).
+    fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError> {
+        let mut out = vec![0.0f32; self.dim()];
+        self.featurize_into(query, &mut out)?;
+        Ok(FeatureVec(out))
+    }
 
     /// Encode `query` into a caller-provided buffer of length
     /// [`Featurizer::dim`] without allocating an output vector.
     ///
-    /// The batch path ([`FeatureMatrix`]) featurizes rows directly into one
-    /// contiguous arena through this method. The default delegates to
-    /// [`featurize`](Self::featurize) and copies; the built-in QFTs override
-    /// it with in-place encoders that produce bit-identical output.
+    /// The one encoder every QFT implements: [`featurize`](Self::featurize)
+    /// and the batch path ([`FeatureMatrix`], which featurizes rows
+    /// directly into one contiguous arena) both run through it.
+    /// Implementations may assume nothing about the buffer's contents on
+    /// entry and must write every entry.
     ///
     /// On error the contents of `out` are unspecified; callers must treat
     /// the row as poisoned. Passing a buffer whose length differs from
     /// `dim()` is a caller bug and surfaces as [`QfeError::ShapeMismatch`].
-    fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {
-        check_out_len(self.dim(), out.len())?;
-        let v = self.featurize(query)?;
-        out.copy_from_slice(&v.0);
-        Ok(())
-    }
+    fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError>;
 
     /// Encode `query` and quantize it to `u16` bin ids in one pass: the
     /// compiled-inference entry point ([`BinnedFeatureMatrix`] builds its
@@ -145,10 +146,6 @@ impl<F: Featurizer + ?Sized> Featurizer for Box<F> {
 
     fn dim(&self) -> usize {
         self.as_ref().dim()
-    }
-
-    fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError> {
-        self.as_ref().featurize(query)
     }
 
     fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {

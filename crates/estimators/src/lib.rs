@@ -23,21 +23,22 @@
 //! * [`iep`] — inclusion-exclusion estimation of disjunctions (the
 //!   Section 6 strawman: `2^m − 1` sub-estimates per query).
 //! * [`labels`] — labeling utilities (run the oracle over a workload).
-//! * [`chain`] — fault-tolerant composition: [`chain::FallbackChain`]
-//!   (e.g. learned → histogram → sampling → constant floor) with
-//!   per-stage observability, plus the seeded [`chain::ChaosEstimator`]
-//!   fault injector that the robustness tests drive it with.
 //! * [`breaker`] — per-stage circuit breaking: [`breaker::CircuitBreaker`]
 //!   (closed → open → half-open with exponential cooldown), which lets
 //!   the serving stage loop skip a persistently failing stage instead of
 //!   paying for its failure on every query.
+//!
+//! Composing these into a fault-tolerant stack (learned → histogram →
+//! sampling → constant floor) is the job of `qfe-serve`'s
+//! `EstimatorService`, the one stage loop in the workspace; the seeded
+//! `ChaosEstimator` its robustness tests drive it with lives in
+//! `qfe_ml::chaos`.
 
 // Library code must fail with typed errors, never a panic: `unwrap`/`expect`
 // are confined to tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod breaker;
-pub mod chain;
 pub mod correlated;
 pub mod global;
 pub mod grouped;
@@ -50,7 +51,6 @@ pub mod sampling;
 pub mod truth;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
-pub use chain::{ChainStats, ChaosEstimator, EstimatorFault, FallbackChain};
 pub use correlated::CorrelatedSamplingEstimator;
 pub use global::{GlobalLearnedEstimator, MscnEstimator};
 pub use grouped::GroupedLearnedEstimator;

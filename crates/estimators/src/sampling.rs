@@ -7,7 +7,7 @@
 //! heavy tail errors the paper observes ("it works in most cases but has
 //! large tail errors").
 
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use qfe_core::estimator::CardinalityEstimator;
 use qfe_core::predicate::CompoundPredicate;
@@ -23,9 +23,9 @@ pub struct SamplingEstimator<'a> {
     db: &'a Database,
     rate: f64,
     base_seed: u64,
-    counter: Cell<u64>,
+    counter: AtomicU64,
     /// Track the size of the most recent samples for memory reporting.
-    last_sample_bytes: Cell<usize>,
+    last_sample_bytes: AtomicUsize,
 }
 
 impl<'a> SamplingEstimator<'a> {
@@ -36,14 +36,13 @@ impl<'a> SamplingEstimator<'a> {
             db,
             rate,
             base_seed: seed,
-            counter: Cell::new(0),
-            last_sample_bytes: Cell::new(0),
+            counter: AtomicU64::new(0),
+            last_sample_bytes: AtomicUsize::new(0),
         }
     }
 
     fn next_seed(&self) -> u64 {
-        let c = self.counter.get();
-        self.counter.set(c + 1);
+        let c = self.counter.fetch_add(1, Ordering::Relaxed);
         self.base_seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(c)
@@ -54,7 +53,7 @@ impl<'a> SamplingEstimator<'a> {
         let t = self.db.table(table);
         let sample = BernoulliSample::draw(t.row_count(), self.rate, self.next_seed());
         self.last_sample_bytes
-            .set(self.last_sample_bytes.get() + sample.memory_bytes());
+            .fetch_add(sample.memory_bytes(), Ordering::Relaxed);
         let preds: Vec<&CompoundPredicate> = query
             .predicates
             .iter()
@@ -75,7 +74,7 @@ impl CardinalityEstimator for SamplingEstimator<'_> {
     }
 
     fn estimate(&self, query: &Query) -> f64 {
-        self.last_sample_bytes.set(0);
+        self.last_sample_bytes.store(0, Ordering::Relaxed);
         let tables = query.sub_schema();
         if tables.len() == 1 {
             let qualifying = self.sample_table(query, tables.tables()[0]).len();
@@ -99,7 +98,7 @@ impl CardinalityEstimator for SamplingEstimator<'_> {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.last_sample_bytes.get()
+        self.last_sample_bytes.load(Ordering::Relaxed)
     }
 }
 

@@ -1,20 +1,27 @@
-//! Deterministic fault injection for regressors.
+//! Deterministic fault injection for regressors and estimators.
 //!
 //! [`ChaosRegressor`] wraps any [`Regressor`] and corrupts a seeded,
 //! reproducible subset of its predictions — NaN, ±∞, or absurd garbage
-//! magnitudes. It exists to *test* the robustness layer: the guards in
-//! [`Regressor::try_predict_batch`] and the estimator-level fallback chain
-//! must turn every injected fault into a typed error or a sane fallback,
-//! never a panic and never a silently-wrong estimate.
+//! magnitudes. [`ChaosEstimator`] wraps any [`CardinalityEstimator`] and
+//! makes a seeded subset of its calls fail in each of the ways a real
+//! estimator can: typed errors, NaN or below-one values, stalls and
+//! panics. Both exist to *test* the robustness layer: the guards in
+//! [`Regressor::try_predict_batch`] and the serving stage loop must turn
+//! every injected fault into a typed error or a sane fallback, never a
+//! panic escaping the service and never a silently-wrong estimate.
 //!
-//! Injection is a pure function of `(seed, call index, output index)`, so
-//! a failing test case replays exactly. Nothing here is conditionally
-//! compiled away: chaos wrappers are ordinary estimators, usable from
-//! integration tests and benchmarks alike.
+//! Injection is a pure function of `(seed, call index[, output index])`,
+//! so a failing test case replays exactly. Nothing here is conditionally
+//! compiled away: chaos wrappers are ordinary models and estimators,
+//! usable from integration tests, examples and benchmarks alike.
 
 use crate::matrix::Matrix;
 use crate::train::{Regressor, TrainError};
+use qfe_core::error::EstimateError;
+use qfe_core::estimator::{CardinalityEstimator, Estimate};
+use qfe_core::Query;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// The corruption a [`ChaosRegressor`] injects into predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +66,7 @@ pub struct ChaosRegressor<M> {
     rate: f64,
     seed: u64,
     calls: AtomicU64,
-    stall: std::time::Duration,
+    stall: Duration,
 }
 
 impl<M: Regressor> ChaosRegressor<M> {
@@ -72,7 +79,7 @@ impl<M: Regressor> ChaosRegressor<M> {
             rate: rate.clamp(0.0, 1.0),
             seed,
             calls: AtomicU64::new(0),
-            stall: std::time::Duration::ZERO,
+            stall: Duration::ZERO,
         }
     }
 
@@ -82,7 +89,7 @@ impl<M: Regressor> ChaosRegressor<M> {
     /// instant; wall-clock stress runs set a small real stall so the
     /// budget enforcement is exercised against a genuinely blocked
     /// thread.
-    pub fn with_stall(mut self, stall: std::time::Duration) -> Self {
+    pub fn with_stall(mut self, stall: Duration) -> Self {
         self.stall = stall;
         self
     }
@@ -172,6 +179,144 @@ impl<M: Regressor> Regressor for ChaosRegressor<M> {
 
     fn model_name(&self) -> &'static str {
         "chaos"
+    }
+}
+
+/// The failure modes [`ChaosEstimator`] can inject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EstimatorFault {
+    /// `try_estimate` returns a typed [`EstimateError::Internal`].
+    Error,
+    /// The estimator "succeeds" with a NaN value — a contract violation
+    /// that downstream consumers must catch.
+    Nan,
+    /// The estimator "succeeds" with finite garbage below the legal
+    /// minimum (negative cardinality).
+    Garbage,
+    /// The call sleeps for the wrapper's configured latency
+    /// ([`ChaosEstimator::with_latency`]) and then answers correctly — an
+    /// inference-latency spike, the fault deadlines and breakers exist
+    /// for. Which calls stall is seeded and replayable like every other
+    /// fault; the stall duration itself is fixed, not random, so timeout
+    /// assertions stay deterministic.
+    Latency,
+    /// The call panics — the fault `catch_unwind` isolation exists for.
+    /// The panic payload is [`ChaosEstimator::PANIC_MSG`], so test panic
+    /// hooks can tell injected panics from real assertion failures.
+    Panic,
+}
+
+/// Deterministic fault-injection wrapper around any estimator.
+///
+/// Each call fails independently with probability `rate`; whether call
+/// `n` fails — and with which of the configured faults — is a pure
+/// function of `(seed, n)`, so any failing test case replays exactly.
+pub struct ChaosEstimator<E> {
+    inner: E,
+    faults: Vec<EstimatorFault>,
+    rate: f64,
+    seed: u64,
+    latency: Duration,
+    calls: AtomicU64,
+}
+
+impl<E: CardinalityEstimator> ChaosEstimator<E> {
+    /// Panic payload of [`EstimatorFault::Panic`].
+    pub const PANIC_MSG: &'static str = "chaos: injected estimator panic";
+
+    /// Wrap `inner`, injecting one of `faults` (chosen deterministically
+    /// per call) with probability `rate` per call. An empty `faults` list
+    /// disables injection.
+    pub fn new(inner: E, faults: Vec<EstimatorFault>, rate: f64, seed: u64) -> Self {
+        ChaosEstimator {
+            inner,
+            faults,
+            rate: rate.clamp(0.0, 1.0),
+            seed,
+            latency: Duration::from_millis(25),
+            calls: AtomicU64::new(0),
+        }
+    }
+
+    /// Set the stall duration injected by [`EstimatorFault::Latency`]
+    /// (default 25 ms).
+    pub fn with_latency(mut self, latency: Duration) -> Self {
+        self.latency = latency;
+        self
+    }
+
+    /// The wrapped estimator.
+    pub fn inner(&self) -> &E {
+        &self.inner
+    }
+
+    /// The fault for the next call, if one fires.
+    fn next_fault(&self) -> Option<EstimatorFault> {
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        if self.faults.is_empty() {
+            return None;
+        }
+        let h = splitmix64(self.seed ^ call.wrapping_mul(0x85EB_CA6B));
+        let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        if unit < self.rate {
+            Some(self.faults[(splitmix64(h) % self.faults.len() as u64) as usize])
+        } else {
+            None
+        }
+    }
+}
+
+impl<E: CardinalityEstimator> CardinalityEstimator for ChaosEstimator<E> {
+    fn name(&self) -> String {
+        format!("chaos({})", self.inner.name())
+    }
+
+    fn estimate(&self, query: &Query) -> f64 {
+        match self.next_fault() {
+            None => self.inner.estimate(query),
+            Some(EstimatorFault::Error) | Some(EstimatorFault::Nan) => f64::NAN,
+            Some(EstimatorFault::Garbage) => -1e9,
+            Some(EstimatorFault::Latency) => {
+                std::thread::sleep(self.latency);
+                self.inner.estimate(query)
+            }
+            Some(EstimatorFault::Panic) => panic!("{}", Self::PANIC_MSG),
+        }
+    }
+
+    fn try_estimate(&self, query: &Query) -> Result<Estimate, EstimateError> {
+        match self.next_fault() {
+            None => self.inner.try_estimate(query),
+            Some(EstimatorFault::Error) => Err(EstimateError::Internal {
+                estimator: self.name(),
+                message: "injected fault".into(),
+            }),
+            // Nan and Garbage deliberately violate the Ok contract — this
+            // is what a buggy estimator looks like from the outside, and
+            // exactly what the service's re-validation must absorb.
+            Some(EstimatorFault::Nan) => Ok(Estimate::primary(f64::NAN, self.name())),
+            Some(EstimatorFault::Garbage) => Ok(Estimate::primary(-1e9, self.name())),
+            // A stall, then a *correct* answer: slow is its own failure
+            // mode, distinct from wrong.
+            Some(EstimatorFault::Latency) => {
+                std::thread::sleep(self.latency);
+                self.inner.try_estimate(query)
+            }
+            Some(EstimatorFault::Panic) => panic!("{}", Self::PANIC_MSG),
+        }
+    }
+
+    /// Identical to the trait default, pinned here on purpose: faults
+    /// are drawn **per row in row order**, so a batch of `n` fails
+    /// exactly the calls that `n` singleton calls would have failed.
+    /// Replayability of seeded test cases depends on this — do not
+    /// "optimize" it into one draw per batch.
+    fn estimate_batch(&self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
+        queries.iter().map(|q| self.try_estimate(q)).collect()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
     }
 }
 
@@ -296,5 +441,103 @@ mod tests {
             matches!(err, TrainError::NonFinitePrediction { .. }),
             "{err:?}"
         );
+    }
+
+    struct Constant(f64);
+
+    impl CardinalityEstimator for Constant {
+        fn name(&self) -> String {
+            "constant".into()
+        }
+
+        fn estimate(&self, _query: &Query) -> f64 {
+            self.0
+        }
+    }
+
+    fn q() -> Query {
+        Query::single_table(qfe_core::TableId(0), vec![])
+    }
+
+    #[test]
+    fn estimator_zero_rate_is_transparent() {
+        let chaos = ChaosEstimator::new(Constant(42.0), vec![EstimatorFault::Nan], 0.0, 1);
+        for _ in 0..50 {
+            assert_eq!(chaos.try_estimate(&q()).unwrap().value, 42.0);
+        }
+    }
+
+    #[test]
+    fn estimator_full_rate_always_faults() {
+        let chaos = ChaosEstimator::new(Constant(42.0), vec![EstimatorFault::Error], 1.0, 1);
+        for _ in 0..20 {
+            let err = chaos.try_estimate(&q()).unwrap_err();
+            assert_eq!(err.kind(), qfe_core::EstimateErrorKind::Internal);
+        }
+    }
+
+    #[test]
+    fn estimator_faults_are_deterministic_in_seed() {
+        let run = |seed: u64| -> Vec<bool> {
+            let chaos = ChaosEstimator::new(
+                Constant(42.0),
+                vec![EstimatorFault::Error, EstimatorFault::Nan],
+                0.5,
+                seed,
+            );
+            (0..64).map(|_| chaos.try_estimate(&q()).is_err()).collect()
+        };
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn estimator_fault_draws_are_pinned() {
+        // The per-call draw is part of every seeded test's replay: these
+        // fault positions must never change.
+        let chaos = ChaosEstimator::new(
+            Constant(42.0),
+            vec![EstimatorFault::Error, EstimatorFault::Nan],
+            0.5,
+            7,
+        );
+        let drawn: Vec<Option<EstimatorFault>> = (0..12).map(|_| chaos.next_fault()).collect();
+        let (e, n) = (Some(EstimatorFault::Error), Some(EstimatorFault::Nan));
+        assert_eq!(
+            drawn,
+            [n, None, n, None, None, None, n, None, e, None, None, e]
+        );
+    }
+
+    #[test]
+    fn latency_fault_stalls_then_answers_correctly() {
+        let chaos = ChaosEstimator::new(Constant(42.0), vec![EstimatorFault::Latency], 1.0, 1)
+            .with_latency(Duration::from_millis(20));
+        let t0 = std::time::Instant::now();
+        let e = chaos.try_estimate(&q()).unwrap();
+        assert_eq!(e.value, 42.0, "latency fault must not corrupt the value");
+        assert!(
+            t0.elapsed() >= Duration::from_millis(20),
+            "the injected stall must be observable"
+        );
+        // Seeded like every other fault: a rate-0.5 wrapper stalls the
+        // same calls on every run.
+        let stalls = |seed: u64| -> Vec<bool> {
+            let c = ChaosEstimator::new(Constant(1.0), vec![EstimatorFault::Latency], 0.5, seed)
+                .with_latency(Duration::ZERO);
+            (0..32).map(|_| c.next_fault().is_some()).collect()
+        };
+        assert_eq!(stalls(3), stalls(3));
+        assert_ne!(stalls(3), stalls(4));
+    }
+
+    #[test]
+    fn panic_fault_panics_with_the_documented_payload() {
+        let chaos = ChaosEstimator::new(Constant(1.0), vec![EstimatorFault::Panic], 1.0, 1);
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| chaos.try_estimate(&q())))
+                .unwrap_err();
+        let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(msg, ChaosEstimator::<Constant>::PANIC_MSG);
     }
 }

@@ -34,7 +34,7 @@ pub mod scaling;
 pub mod serialize;
 pub mod train;
 
-pub use chaos::{ChaosRegressor, RegressorFault};
+pub use chaos::{ChaosEstimator, ChaosRegressor, EstimatorFault, RegressorFault};
 pub use compiled::{fma_available, mlp_simd_active, CompiledGbdt, CompiledMlp, MlpScratch};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use linreg::LinearRegression;

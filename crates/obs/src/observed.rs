@@ -4,7 +4,7 @@
 //! Featurization sits on the estimation hot path — the End-to-End Learned
 //! Cost Estimator line of work reports encode time as part of inference
 //! latency — but `qfe-core` must not depend on this crate. So rather than
-//! instrumenting `Featurizer::featurize` in core, [`ObservedFeaturizer`]
+//! instrumenting `Featurizer::featurize_into` in core, [`ObservedFeaturizer`]
 //! wraps any featurizer behind the same trait. Both metric names embed
 //! the wrapped QFT's `name()` and are precomputed at construction, so the
 //! per-encode cost is one clock read pair plus one recorder call.
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qfe_core::error::QfeError;
-use qfe_core::featurize::{FeatureVec, Featurizer};
+use qfe_core::featurize::Featurizer;
 use qfe_core::query::Query;
 
 use crate::recorder::Recorder;
@@ -63,9 +63,9 @@ impl<F: Featurizer> Featurizer for ObservedFeaturizer<F> {
         self.inner.dim()
     }
 
-    fn featurize(&self, query: &Query) -> Result<FeatureVec, QfeError> {
+    fn featurize_into(&self, query: &Query, out: &mut [f32]) -> Result<(), QfeError> {
         let start = Instant::now();
-        let result = self.inner.featurize(query);
+        let result = self.inner.featurize_into(query, out);
         self.recorder.record(&self.latency_metric, start.elapsed());
         if result.is_err() {
             self.recorder.incr(&self.error_metric);

@@ -23,7 +23,8 @@
 //!    *skipped* (fast typed `CircuitOpen`) instead of burning every
 //!    request's budget, and probed back in after an exponential cooldown.
 //!
-//! The response contract mirrors the chain's, hardened for concurrency:
+//! One stage loop serves singletons and batches alike (a singleton walks
+//! a one-row batch). The response contract holds under concurrency:
 //! every request gets a finite [`Estimate`] `>= 1` (a real stage or the
 //! constant floor) or a typed [`ServeError`] — never a panic, never NaN,
 //! under any interleaving of failures.
@@ -273,6 +274,8 @@ impl EstimatorService {
     /// Returns a finite estimate `>= 1` (with stage provenance, the floor
     /// included as the deepest stage), or a typed [`ServeError`] when the
     /// request was shed or its budget ran out. Never panics, never NaN.
+    /// The request walks the same stage loop as a batch, as a one-row
+    /// batch, but never counts as a batch drain.
     pub fn estimate_within(
         &self,
         query: &Query,
@@ -281,7 +284,12 @@ impl EstimatorService {
         // End-to-end latency covers everything the caller waited for —
         // admission queueing included — for every outcome, errors too.
         let started = Instant::now();
-        let result = self.estimate_guarded(query, deadline);
+        let result = self.admission.acquire(&deadline).and_then(|_permit| {
+            let mut rows = self.walk_stages(std::slice::from_ref(query), deadline);
+            // The walk returns one row per query, so the fallback never
+            // runs; it keeps this path free of a panic.
+            rows.pop().unwrap_or_else(|| Err(self.give_up(deadline, 0)))
+        });
         self.recorder
             .record(REQUEST_LATENCY_METRIC, started.elapsed());
         result
@@ -298,13 +306,13 @@ impl EstimatorService {
     /// The batch is admitted as **one** unit of concurrency and walks the
     /// stage stack once: each stage receives a single
     /// [`estimate_batch`](qfe_core::CardinalityEstimator::estimate_batch)
-    /// call covering every row still unanswered at its depth, under the
-    /// same fair-share budgeting, breaker gating, and panic isolation as
-    /// the singleton path. Per-row failures fall through to the next
-    /// stage individually; rows still unanswered when the stack is
-    /// exhausted get the floor, and rows unanswered at deadline expiry
-    /// get a per-row [`ServeError::DeadlineExceeded`]. An admission
-    /// rejection reports the same [`ServeError`] on every row.
+    /// call covering every row still unanswered at its depth, under
+    /// fair-share budgeting, breaker gating, and panic isolation.
+    /// Per-row failures fall through to the next stage individually;
+    /// rows still unanswered when the stack is exhausted get the floor,
+    /// and rows unanswered at deadline expiry get a per-row
+    /// [`ServeError::DeadlineExceeded`]. An admission rejection reports
+    /// the same [`ServeError`] on every row.
     ///
     /// End-to-end and per-stage latency are recorded amortized (elapsed ÷
     /// rows, once per row), so histogram counts stay comparable with the
@@ -318,7 +326,19 @@ impl EstimatorService {
             return Vec::new();
         }
         let started = Instant::now();
-        let results = self.estimate_batch_guarded(queries, deadline);
+        let results = match self.admission.acquire(&deadline) {
+            Ok(_permit) => {
+                self.batch_drains.fetch_add(1, Ordering::Relaxed);
+                self.batched_requests
+                    .fetch_add(queries.len() as u64, Ordering::Relaxed);
+                self.recorder.record(
+                    BATCH_SIZE_METRIC,
+                    Duration::from_nanos(queries.len() as u64),
+                );
+                self.walk_stages(queries, deadline)
+            }
+            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
+        };
         let amortized = started.elapsed() / queries.len() as u32;
         for _ in queries {
             self.recorder.record(REQUEST_LATENCY_METRIC, amortized);
@@ -326,22 +346,20 @@ impl EstimatorService {
         results
     }
 
-    fn estimate_batch_guarded(
+    /// The stage loop, run by an admitted request or batch: every stage
+    /// receives one [`estimate_batch`](qfe_core::CardinalityEstimator::estimate_batch)
+    /// call covering the rows still unanswered at its depth, with its
+    /// fair share of the remaining budget (`remaining / stages_left`;
+    /// later stages inherit whatever it leaves behind). Each answer is
+    /// re-validated; a failed row falls through to the next stage. Rows
+    /// unanswered when the stack is exhausted get the floor, or a
+    /// [`ServeError::DeadlineExceeded`] if the deadline has passed.
+    /// Returns one result per query, in order.
+    fn walk_stages(
         &self,
         queries: &[Query],
         deadline: Deadline,
     ) -> Vec<Result<Estimate, ServeError>> {
-        let _permit = match self.admission.acquire(&deadline) {
-            Ok(p) => p,
-            Err(e) => return queries.iter().map(|_| Err(e.clone())).collect(),
-        };
-        self.batch_drains.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.recorder.record(
-            BATCH_SIZE_METRIC,
-            Duration::from_nanos(queries.len() as u64),
-        );
         let mut results: Vec<Option<Estimate>> = vec![None; queries.len()];
         let mut pending: Vec<usize> = (0..queries.len()).collect();
         let mut tried = 0usize;
@@ -350,9 +368,8 @@ impl EstimatorService {
                 break;
             }
             if !stage.breaker.admit() {
-                // Counter granularity is per request, as in the
-                // singleton path: a skipped stage skips every pending
-                // row.
+                // Counter granularity is per request: a skipped stage
+                // skips every pending row.
                 stage
                     .skipped_open
                     .fetch_add(pending.len() as u64, Ordering::Relaxed);
@@ -394,7 +411,7 @@ impl EstimatorService {
                             }
                         }
                     }
-                    // Breaker at batch granularity: the invocation counts
+                    // Breaker at call granularity: the invocation counts
                     // as a success if any row got a valid answer, as one
                     // failure if none did — a drifted model failing whole
                     // batches trips it on the same schedule as failing
@@ -414,9 +431,8 @@ impl EstimatorService {
             .into_iter()
             .map(|slot| match slot {
                 Some(est) => Ok(est),
-                // Per-row accounting mirrors the singleton path: every
-                // unanswered row is one deadline error or one floor
-                // answer.
+                // Per-row accounting: every unanswered row is one
+                // deadline error or one floor answer.
                 None if expired => Err(self.give_up(deadline, tried)),
                 None => {
                     self.answered.fetch_add(1, Ordering::Relaxed);
@@ -429,63 +445,6 @@ impl EstimatorService {
                 }
             })
             .collect()
-    }
-
-    fn estimate_guarded(&self, query: &Query, deadline: Deadline) -> Result<Estimate, ServeError> {
-        let _permit = self.admission.acquire(&deadline)?;
-        let mut tried = 0usize;
-        for (depth, stage) in self.stages.iter().enumerate() {
-            if deadline.expired() {
-                return Err(self.give_up(deadline, tried));
-            }
-            if !stage.breaker.admit() {
-                stage.skipped_open.fetch_add(1, Ordering::Relaxed);
-                stage.record_error(EstimateErrorKind::CircuitOpen);
-                continue;
-            }
-            tried += 1;
-            // Fair-share budgeting: this stage may use its fraction of
-            // what is left; later stages inherit whatever it leaves
-            // behind (all of it, if the stage fails fast).
-            let stages_left = (self.stages.len() - depth) as u32;
-            let share = deadline.remaining() / stages_left;
-            let stage_started = Instant::now();
-            let q = query.clone();
-            let outcome = Self::run_stage(stage, share, move |est| est.try_estimate(&q));
-            self.recorder
-                .record(&stage.latency_metric, stage_started.elapsed());
-            match outcome {
-                RunOutcome::Done(result) => match Self::classify(result) {
-                    Ok(value) => {
-                        stage.breaker.record_success();
-                        stage.hits.fetch_add(1, Ordering::Relaxed);
-                        self.answered.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Estimate {
-                            value,
-                            estimator: stage.name.clone(),
-                            fallback_depth: depth,
-                        });
-                    }
-                    Err(kind) => {
-                        stage.breaker.record_failure();
-                        stage.record_error(kind);
-                    }
-                },
-                lost => Self::record_lost_call(stage, lost, 1),
-            }
-        }
-        if deadline.expired() {
-            return Err(self.give_up(deadline, tried));
-        }
-        // Every stage failed or was skipped, within budget: the floor
-        // upholds the "always an estimate" half of the contract.
-        self.answered.fetch_add(1, Ordering::Relaxed);
-        self.floor_answers.fetch_add(1, Ordering::Relaxed);
-        Ok(Estimate {
-            value: self.floor,
-            estimator: "floor".into(),
-            fallback_depth: self.stages.len(),
-        })
     }
 
     fn give_up(&self, deadline: Deadline, tried: usize) -> ServeError {
@@ -552,8 +511,8 @@ impl EstimatorService {
         result: Result<Estimate, qfe_core::EstimateError>,
     ) -> Result<f64, EstimateErrorKind> {
         match result {
-            // Defense in depth, same as the chain: an Ok is only trusted
-            // after re-validation.
+            // Defense in depth: an Ok is only trusted after
+            // re-validation.
             Ok(est) if est.value.is_finite() && est.value >= 1.0 => Ok(est.value),
             Ok(_) => Err(EstimateErrorKind::NonFinite),
             Err(e) => Err(e.kind()),
@@ -719,7 +678,7 @@ mod tests {
     use super::*;
     use qfe_core::estimator::CardinalityEstimator;
     use qfe_core::TableId;
-    use qfe_estimators::chain::{ChaosEstimator, EstimatorFault};
+    use qfe_ml::chaos::{ChaosEstimator, EstimatorFault};
     use std::sync::Arc;
 
     struct Constant(f64);
@@ -1154,8 +1113,10 @@ mod tests {
         assert_eq!(s1.answered, s2.answered);
         assert_eq!(s1.stages[0].hits, s2.stages[0].hits);
         assert_eq!(s1.stages[1].hits, s2.stages[1].hits);
-        // Batched-vs-singleton provenance counters.
-        assert_eq!(s1.batched_requests, 0);
+        // Batched-vs-singleton provenance counters: singletons walk the
+        // same loop as one-row batches but never count as batches.
+        assert_eq!((s1.batch_drains, s1.batched_requests), (0, 0));
+        assert!(singleton.metrics().histogram(BATCH_SIZE_METRIC).is_none());
         assert_eq!((s2.batch_drains, s2.batched_requests), (1, 4));
         let m = batched.metrics();
         assert_eq!(m.counter("serve.batch.drains"), 1);
@@ -1235,5 +1196,97 @@ mod tests {
         let stats = svc.stats();
         assert_eq!((stats.batch_drains, stats.batched_requests), (0, 0));
         assert_eq!(stats.admission.admitted, 0);
+    }
+
+    #[test]
+    fn floor_is_clamped_to_legal_range() {
+        for floor in [0.25, f64::NAN, f64::INFINITY] {
+            let svc = EstimatorService::new(
+                vec![],
+                ServiceConfig {
+                    floor,
+                    ..ServiceConfig::default()
+                },
+            );
+            // An empty stack is just the floor.
+            let e = svc.estimate(&q()).unwrap();
+            assert_eq!((e.value, e.fallback_depth), (1.0, 0), "floor {floor}");
+            assert_eq!(e.estimator, "floor");
+            let e = svc.estimate_batch(&[q()]).pop().unwrap().unwrap();
+            assert_eq!(e.value, 1.0, "floor {floor}");
+            assert_eq!(svc.metrics().counter("serve.floor.answers"), 2);
+        }
+    }
+
+    /// Counts the `estimate_batch` calls that reach it and the rows they
+    /// carry, to prove the stage loop batches a stage instead of looping
+    /// `try_estimate`.
+    struct CountingStage {
+        value: f64,
+        calls: Arc<AtomicU64>,
+        rows: Arc<AtomicU64>,
+    }
+
+    impl CardinalityEstimator for CountingStage {
+        fn name(&self) -> String {
+            "counting".into()
+        }
+
+        fn estimate(&self, _query: &Query) -> f64 {
+            self.value
+        }
+
+        fn estimate_batch(
+            &self,
+            queries: &[Query],
+        ) -> Vec<Result<Estimate, qfe_core::EstimateError>> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.rows.fetch_add(queries.len() as u64, Ordering::Relaxed);
+            queries.iter().map(|q| self.try_estimate(q)).collect()
+        }
+    }
+
+    #[test]
+    fn each_stage_gets_one_batch_call_over_the_pending_rows() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let rows = Arc::new(AtomicU64::new(0));
+        let svc = EstimatorService::new(
+            vec![
+                Arc::new(FailsNonEmpty(123.0)) as SharedEstimator,
+                Arc::new(CountingStage {
+                    value: 9.0,
+                    calls: Arc::clone(&calls),
+                    rows: Arc::clone(&rows),
+                }),
+            ],
+            ServiceConfig {
+                breaker: lenient_breaker(),
+                ..ServiceConfig::default()
+            },
+        );
+        // 10 of 16 rows fail stage 0 and fall through.
+        let queries: Vec<Query> = (0..16)
+            .map(|i| if i % 8 < 5 { q_with_pred() } else { q() })
+            .collect();
+        let out = svc.estimate_batch_within(&queries, Deadline::unbounded());
+        for (query, r) in queries.iter().zip(&out) {
+            let e = r.as_ref().unwrap();
+            let depth = usize::from(!query.predicates.is_empty());
+            assert_eq!(e.fallback_depth, depth);
+        }
+        // Stage 1 saw the 10 stage-0 failures as ONE batched call.
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(rows.load(Ordering::Relaxed), 10);
+        let stats = svc.stats();
+        assert_eq!((stats.stages[0].hits, stats.stages[1].hits), (6, 10));
+        assert_eq!(
+            stats.stages[0].errors[EstimateErrorKind::NonFinite.as_index()].1,
+            10
+        );
+        // Amortized per-row recording keeps the stage latency histogram
+        // at one entry per row the stage saw.
+        let m = svc.metrics();
+        assert_eq!(m.histogram("serve.stage0.latency").unwrap().count, 16);
+        assert_eq!(m.histogram("serve.stage1.latency").unwrap().count, 10);
     }
 }

@@ -25,7 +25,8 @@ use qfe_core::query::{ColumnRef, Query};
 use qfe_core::schema::{ColumnId, TableId};
 use qfe_core::{CardinalityEstimator, Deadline, Value};
 use qfe_data::{Column, Database, Table};
-use qfe_estimators::{BreakerConfig, ChaosEstimator, EstimatorFault, PostgresEstimator};
+use qfe_estimators::{BreakerConfig, PostgresEstimator};
+use qfe_ml::chaos::{ChaosEstimator, EstimatorFault};
 use qfe_serve::{
     ServiceConfig, Shard, ShardConfig, ShardError, ShardKey, ShardRegistry, SharedEstimator,
 };

@@ -1,16 +1,17 @@
-//! Fault-tolerant estimation: typed errors, the fallback chain, and
-//! deterministic fault injection.
+//! Fault-tolerant estimation: typed errors, checksummed models, and
+//! fail-fast training.
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerance
 //! ```
 //!
-//! Walks the robustness surface end to end: a learned estimator that
-//! classifies its failures instead of silently answering `1.0`, a
-//! [`FallbackChain`] that degrades learned → histogram → sampling → floor
-//! with per-stage observability, chaos injection that makes stages fail
-//! deterministically, and the checksummed model serialization that
-//! rejects corrupted bytes with a typed error.
+//! Walks the robustness surface of a single estimator: a learned
+//! estimator that classifies its failures instead of silently answering
+//! `1.0`, the checksummed model serialization that rejects corrupted
+//! bytes with a typed error, and training that aborts on divergent labels
+//! without poisoning the model. How a stack of stages degrades learned →
+//! histogram → floor under seeded chaos, with per-stage counters, is
+//! shown by the `serving` example (`EstimatorService`).
 
 use qfe::core::featurize::{AttributeSpace, UniversalConjunctionEncoding};
 use qfe::core::{
@@ -19,15 +20,12 @@ use qfe::core::{
 };
 use qfe::data::forest::{generate_forest, ForestConfig};
 use qfe::estimators::labels::label_queries;
-use qfe::estimators::{
-    ChaosEstimator, EstimatorFault, FallbackChain, LearnedEstimator, PostgresEstimator,
-    SamplingEstimator,
-};
+use qfe::estimators::LearnedEstimator;
 use qfe::ml::gbdt::{Gbdt, GbdtConfig};
 use qfe::ml::matrix::Matrix;
 use qfe::ml::serialize::{gbdt_from_bytes, gbdt_to_bytes};
 use qfe::ml::train::Regressor;
-use qfe::workload::{generate_conjunctive, generate_mixed, ConjunctiveConfig, MixedConfig};
+use qfe::workload::{generate_conjunctive, ConjunctiveConfig};
 
 fn main() {
     let table = TableId(0);
@@ -90,51 +88,7 @@ fn main() {
         learned.fallback_count()
     );
 
-    // ── 2. The fallback chain under chaos ──────────────────────────────
-    // Every stage is wrapped in a seeded fault injector: 30 % of calls
-    // fail with a typed error, a NaN, or garbage. The chain's guarantee —
-    // always finite, always >= 1, never a panic — must hold anyway.
-    let faults = vec![
-        EstimatorFault::Error,
-        EstimatorFault::Nan,
-        EstimatorFault::Garbage,
-    ];
-    let chain = FallbackChain::new(vec![
-        Box::new(ChaosEstimator::new(&learned, faults.clone(), 0.3, 1)),
-        Box::new(ChaosEstimator::new(
-            PostgresEstimator::analyze_default(&db),
-            faults.clone(),
-            0.3,
-            2,
-        )),
-        Box::new(ChaosEstimator::new(
-            SamplingEstimator::new(&db, 0.05, 7),
-            faults,
-            0.3,
-            3,
-        )),
-    ]);
-    println!("\n── fallback chain under 30 % chaos ──");
-    println!("chain: {}", chain.name());
-    let mut queries = generate_conjunctive(catalog, &ConjunctiveConfig::new(table, 100, 99));
-    queries.extend(generate_mixed(catalog, &MixedConfig::new(table, 100, 100)));
-    for q in &queries {
-        let e = chain.try_estimate(q).expect("the chain is total");
-        assert!(e.value.is_finite() && e.value >= 1.0, "guarantee broken");
-    }
-    println!(
-        "{} queries estimated; stage hits {:?} (last = constant floor)",
-        queries.len(),
-        chain.stage_hits()
-    );
-    println!("stage failures by class:");
-    for (label, count) in chain.error_counts() {
-        if count > 0 {
-            println!("  {label:<17} {count}");
-        }
-    }
-
-    // ── 3. Corrupt model bytes are rejected, not mis-parsed ────────────
+    // ── 2. Corrupt model bytes are rejected, not mis-parsed ────────────
     println!("\n── checksummed serialization ──");
     let rows: Vec<Vec<f32>> = (0..100).map(|i| vec![(i % 13) as f32]).collect();
     let y: Vec<f32> = rows.iter().map(|r| r[0] * 2.0).collect();
@@ -161,7 +115,7 @@ fn main() {
         gbdt_from_bytes(&bytes[..10]).unwrap_err()
     );
 
-    // ── 4. Divergent training aborts without poisoning the model ───────
+    // ── 3. Divergent training aborts without poisoning the model ───────
     println!("\n── fail-fast training ──");
     let bad_y = vec![f32::MAX; rows.len()];
     let err = gb.try_fit(&Matrix::from_rows(&rows), &bad_y).unwrap_err();

@@ -20,9 +20,8 @@ use qfe::core::featurize::{AttributeSpace, UniversalConjunctionEncoding};
 use qfe::core::{CardinalityEstimator, Deadline, TableId};
 use qfe::data::forest::{generate_forest, ForestConfig};
 use qfe::estimators::labels::label_queries;
-use qfe::estimators::{
-    BreakerConfig, ChaosEstimator, EstimatorFault, LearnedEstimator, PostgresEstimator,
-};
+use qfe::estimators::{BreakerConfig, LearnedEstimator, PostgresEstimator};
+use qfe::ml::chaos::{ChaosEstimator, EstimatorFault};
 use qfe::ml::gbdt::{Gbdt, GbdtConfig};
 use qfe::ml::serialize::gbdt_to_bytes;
 use qfe::ml::train::Regressor as _;

@@ -1,11 +1,10 @@
 //! Batched execution must be *semantically invisible*: for every layer
 //! that grew an `estimate_batch` fast path — [`LearnedEstimator`],
-//! [`FallbackChain`], [`EstimatorService`] — a batch of N queries must
-//! produce exactly the N results the singleton path produces, row for
-//! row, including mixed per-row failures and deadline expiry mid-batch.
+//! [`EstimatorService`] — a batch of N queries must produce exactly the
+//! N results the singleton path produces, row for row, including mixed
+//! per-row failures, seeded chaos and deadline expiry mid-batch.
 //!
 //! [`LearnedEstimator`]: qfe::estimators::LearnedEstimator
-//! [`FallbackChain`]: qfe::estimators::chain::FallbackChain
 //! [`EstimatorService`]: qfe::serve::EstimatorService
 
 use std::sync::Arc;
@@ -16,9 +15,9 @@ use qfe::core::{
     AttributeDomain, CardinalityEstimator, CmpOp, ColumnId, ColumnRef, CompoundPredicate, Deadline,
     EstimateError, PredicateExpr, Query, SimplePredicate, TableId,
 };
-use qfe::estimators::chain::{ChaosEstimator, EstimatorFault, FallbackChain};
 use qfe::estimators::labels::LabeledQueries;
 use qfe::estimators::{BreakerConfig, LearnedEstimator};
+use qfe::ml::chaos::{ChaosEstimator, EstimatorFault};
 use qfe::ml::linreg::LinearRegression;
 use qfe::serve::{EstimatorService, ServeError, ServiceConfig, SharedEstimator};
 
@@ -104,55 +103,81 @@ fn learned_estimator_batch_equals_singleton_with_mixed_failures() {
 }
 
 #[test]
-fn fallback_chain_batch_replays_the_singleton_walk() {
-    // Two *identical* chains (same chaos seeds): walking queries one by
-    // one through the first must be indistinguishable — results and
-    // per-stage counters — from one batched walk through the second,
-    // because per-row fault draws happen in the same order either way.
-    let make_chain = || {
-        FallbackChain::new(vec![
-            Box::new(ChaosEstimator::new(
-                Fixed(50.0),
-                vec![EstimatorFault::Nan, EstimatorFault::Error],
-                0.5,
-                17,
-            )) as Box<dyn CardinalityEstimator>,
-            Box::new(ChaosEstimator::new(
-                Fixed(8.0),
-                vec![EstimatorFault::Error],
-                0.3,
-                23,
-            )),
-        ])
-        .with_floor(2.0)
+fn service_batch_replays_the_singleton_chaos_walk() {
+    // Two *identical* services (same chaos seeds): walking queries one
+    // by one through the first must be indistinguishable — results,
+    // provenance and per-stage counters — from one batched walk through
+    // the second, because per-row fault draws happen in the same order
+    // either way.
+    let make_svc = || {
+        EstimatorService::new(
+            vec![
+                Arc::new(ChaosEstimator::new(
+                    Fixed(50.0),
+                    vec![EstimatorFault::Nan, EstimatorFault::Error],
+                    0.5,
+                    17,
+                )) as SharedEstimator,
+                Arc::new(ChaosEstimator::new(
+                    Fixed(8.0),
+                    vec![EstimatorFault::Error],
+                    0.3,
+                    23,
+                )),
+            ],
+            ServiceConfig {
+                floor: 2.0,
+                breaker: lenient(),
+                ..ServiceConfig::default()
+            },
+        )
     };
     let queries: Vec<Query> = (0..48).map(|i| le_query(i % 2, (i % 20) as i64)).collect();
 
-    let solo_chain = make_chain();
+    let solo_svc = make_svc();
     let solo: Vec<_> = queries
         .iter()
-        .map(|q| solo_chain.try_estimate(q).expect("chain always answers"))
+        .map(|q| {
+            solo_svc
+                .estimate_within(q, Deadline::unbounded())
+                .expect("service always answers")
+        })
         .collect();
 
-    let batch_chain = make_chain();
-    let batched: Vec<_> = batch_chain
-        .estimate_batch(&queries)
+    let batch_svc = make_svc();
+    let batched: Vec<_> = batch_svc
+        .estimate_batch_within(&queries, Deadline::unbounded())
         .into_iter()
-        .map(|r| r.expect("chain always answers"))
+        .map(|r| r.expect("service always answers"))
         .collect();
 
     assert_eq!(
         solo, batched,
-        "batched chain must replay the singleton walk"
+        "batched service must replay the singleton walk"
     );
+    // Per-stage accounting matches too. Breaker counters are left out:
+    // a batch records one breaker outcome per stage call, not per row.
+    let (s1, s2) = (solo_svc.stats(), batch_svc.stats());
     assert_eq!(
-        solo_chain.stage_stats(),
-        batch_chain.stage_stats(),
-        "per-stage accounting must match the singleton walk"
+        (s1.answered, s1.floor_answers),
+        (s2.answered, s2.floor_answers)
     );
+    for (a, b) in s1.stages.iter().zip(&s2.stages) {
+        assert_eq!(
+            (a.hits, &a.errors, a.timeouts, a.panics, a.skipped_open),
+            (b.hits, &b.errors, b.timeouts, b.panics, b.skipped_open),
+            "per-stage accounting must match the singleton walk"
+        );
+    }
     assert!(
         batched.iter().any(|e| e.fell_back()),
-        "chaos at 50% must push some rows down the chain"
+        "chaos at 50% must push some rows down the stack"
+    );
+    assert!(
+        batched
+            .iter()
+            .any(|e| e.estimator == "floor" && e.value == 2.0),
+        "fault rates chosen so some rows reach the floor"
     );
 }
 

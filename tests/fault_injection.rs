@@ -1,23 +1,28 @@
-//! The tentpole robustness property: a [`FallbackChain`] whose stages are
-//! wrapped in seeded [`ChaosEstimator`]s — injecting typed errors, NaNs,
-//! and contract-violating garbage — must, over generated conjunctive AND
-//! mixed workloads, for every fault pattern:
+//! The central robustness property: an [`EstimatorService`] whose
+//! stages are wrapped in seeded [`ChaosEstimator`]s — injecting typed
+//! errors, NaNs, and contract-violating garbage — must, over generated
+//! conjunctive AND mixed workloads, for every fault pattern:
 //!
 //! * never panic,
 //! * always produce a finite estimate `>= 1`,
-//! * attribute every estimate to the stage that actually produced it.
+//! * attribute every estimate to the stage that actually produced it,
+//! * account for every request at every stage it reached.
+//!
+//! The proptests run under [`Deadline::unbounded`], so stages run inline
+//! and no runner thread is involved.
 
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use qfe::core::featurize::{AttributeSpace, UniversalConjunctionEncoding};
-use qfe::core::{CardinalityEstimator, Query, TableId};
+use qfe::core::{CardinalityEstimator, Deadline, EstimateErrorKind, Query, TableId};
 use qfe::data::forest::{generate_forest, ForestConfig};
 use qfe::data::Database;
-use qfe::estimators::chain::{ChaosEstimator, EstimatorFault, FallbackChain};
 use qfe::estimators::labels::label_queries;
-use qfe::estimators::{LearnedEstimator, PostgresEstimator, SamplingEstimator};
+use qfe::estimators::{BreakerConfig, LearnedEstimator, PostgresEstimator, SamplingEstimator};
+use qfe::ml::chaos::{ChaosEstimator, EstimatorFault};
 use qfe::ml::gbdt::{Gbdt, GbdtConfig};
+use qfe::serve::{EstimatorService, ServiceConfig, ServiceStats, SharedEstimator};
 use qfe::workload::{generate_conjunctive, generate_mixed, ConjunctiveConfig, MixedConfig};
 
 const TABLE: TableId = TableId(0);
@@ -51,7 +56,7 @@ fn learned() -> &'static LearnedEstimator {
             db,
             generate_conjunctive(db.catalog(), &ConjunctiveConfig::new(TABLE, 300, 23)),
         );
-        est.fit(&train).expect("training the chain's primary stage");
+        est.fit(&train).expect("training the primary stage");
         est
     })
 }
@@ -78,11 +83,48 @@ const ALL_FAULTS: [EstimatorFault; 3] = [
     EstimatorFault::Garbage,
 ];
 
+fn service(stages: Vec<SharedEstimator>, breaker: BreakerConfig) -> EstimatorService {
+    EstimatorService::new(
+        stages,
+        ServiceConfig {
+            breaker,
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+fn lenient() -> BreakerConfig {
+    BreakerConfig {
+        failure_threshold: u32::MAX,
+        ..BreakerConfig::default()
+    }
+}
+
+/// Every request is accounted for at every stage it reached: the rows
+/// reaching stage `d` are its hits plus its failures (a breaker skip
+/// counts as `circuit-open`), the rest go on to stage `d + 1`, and the
+/// ones left after the last stage are the floor answers.
+fn assert_conserved(stats: &ServiceStats, requests: u64) {
+    let mut reaching = requests;
+    for (d, stage) in stats.stages.iter().enumerate() {
+        let errors: u64 = stage.errors.iter().map(|(_, n)| n).sum();
+        assert_eq!(reaching, stage.hits + errors, "stage {}: {:?}", d, stage);
+        let skipped = stage.errors[EstimateErrorKind::CircuitOpen.as_index()].1;
+        assert_eq!(skipped, stage.skipped_open, "stage {}", d);
+        reaching -= stage.hits;
+    }
+    assert_eq!(reaching, stats.floor_answers);
+    let hits: u64 = stats.stages.iter().map(|s| s.hits).sum();
+    assert_eq!(stats.answered, hits + stats.floor_answers);
+    assert_eq!(stats.deadline_exceeded, 0);
+}
+
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(48))]
 
-    /// The acceptance property from the issue: chain over chaos-wrapped
-    /// learned → postgres → sampling stages, any fault rate, any seed.
+    /// The acceptance property: a service over chaos-wrapped learned →
+    /// postgres → sampling stages, any fault rate, any seed, on the
+    /// production breaker.
     #[test]
     fn chain_survives_chaos_with_correct_provenance(
         chaos_seed in 0u64..u64::MAX / 2,
@@ -98,16 +140,20 @@ proptest! {
             chaos_seed ^ 2,
         );
         let stage_names = [chaos_learned.name(), chaos_pg.name(), chaos_sampling.name()];
-        let chain = FallbackChain::new(vec![
-            Box::new(chaos_learned),
-            Box::new(chaos_pg),
-            Box::new(chaos_sampling),
-        ]);
+        let svc = service(
+            vec![
+                Arc::new(chaos_learned),
+                Arc::new(chaos_pg),
+                Arc::new(chaos_sampling),
+            ],
+            BreakerConfig::default(),
+        );
 
         let queries = workload(workload_seed);
-        let n = queries.len() as u64;
         for q in &queries {
-            let est = chain.try_estimate(q).expect("the chain is total");
+            let est = svc
+                .estimate_within(q, Deadline::unbounded())
+                .expect("the service answers every admitted request");
             prop_assert!(
                 est.value.is_finite() && est.value >= 1.0,
                 "illegal estimate {est:?}"
@@ -119,35 +165,35 @@ proptest! {
             } else {
                 prop_assert_eq!(est.estimator.as_str(), "floor");
             }
-            // The infallible entry point agrees with the guarantee too.
-            let v = chain.estimate(q);
-            prop_assert!(v.is_finite() && v >= 1.0, "estimate() produced {v}");
         }
-
-        // Counter bookkeeping: every try_estimate + estimate call landed
-        // in exactly one stage-hit bucket (floor included), read as one
-        // coherent snapshot.
-        prop_assert_eq!(chain.stage_stats().total_hits(), 2 * n);
+        assert_conserved(&svc.stats(), queries.len() as u64);
     }
 
     /// With injection disabled the primary stage answers everything.
     #[test]
     fn zero_rate_chain_never_falls_back(workload_seed in 0u64..1u64 << 16) {
-        let chain = FallbackChain::new(vec![
-            Box::new(ChaosEstimator::new(learned(), ALL_FAULTS.to_vec(), 0.0, 1)),
-            Box::new(postgres() as &dyn CardinalityEstimator),
-        ]);
-        for q in &workload(workload_seed) {
-            let est = chain.try_estimate(q).expect("total");
+        let svc = service(
+            vec![
+                Arc::new(ChaosEstimator::new(learned(), ALL_FAULTS.to_vec(), 0.0, 1)),
+                Arc::new(postgres()),
+            ],
+            lenient(),
+        );
+        let queries = workload(workload_seed);
+        let mut fell_back = 0;
+        for q in &queries {
+            let est = svc.estimate_within(q, Deadline::unbounded()).expect("total");
             // The trained learned stage answers every supported query; an
             // unsupported one (mixed query under the conjunctive QFT) may
             // legitimately fall through to postgres — but never deeper.
             prop_assert!(est.fallback_depth <= 1, "{est:?}");
             prop_assert!(est.value.is_finite() && est.value >= 1.0);
+            fell_back += u64::from(est.fell_back());
         }
-        let stats = chain.stage_stats();
-        prop_assert_eq!(stats.fallback_count, stats.stage_hits[1] + stats.floor_hits);
-        prop_assert_eq!(stats.floor_hits, 0);
+        let stats = svc.stats();
+        prop_assert_eq!(fell_back, stats.stages[1].hits + stats.floor_answers);
+        prop_assert_eq!(stats.floor_answers, 0);
+        assert_conserved(&stats, queries.len() as u64);
     }
 
     /// Full-rate chaos on every stage: the floor answers every query and
@@ -157,22 +203,32 @@ proptest! {
         chaos_seed in 0u64..u64::MAX / 2,
         workload_seed in 0u64..1u64 << 16,
     ) {
-        let chain = FallbackChain::new(vec![
-            Box::new(ChaosEstimator::new(learned(), ALL_FAULTS.to_vec(), 1.0, chaos_seed)),
-            Box::new(ChaosEstimator::new(postgres(), ALL_FAULTS.to_vec(), 1.0, chaos_seed ^ 1)),
-        ]);
+        let svc = service(
+            vec![
+                Arc::new(ChaosEstimator::new(learned(), ALL_FAULTS.to_vec(), 1.0, chaos_seed)),
+                Arc::new(ChaosEstimator::new(postgres(), ALL_FAULTS.to_vec(), 1.0, chaos_seed ^ 1)),
+            ],
+            BreakerConfig::default(),
+        );
         let queries = workload(workload_seed);
         for q in &queries {
-            let est = chain.try_estimate(q).expect("total");
+            let est = svc.estimate_within(q, Deadline::unbounded()).expect("total");
             prop_assert_eq!(est.value, 1.0);
             prop_assert_eq!(est.estimator.as_str(), "floor");
             prop_assert_eq!(est.fallback_depth, 2);
         }
         let n = queries.len() as u64;
-        let stats = chain.stage_stats();
-        prop_assert_eq!(stats.stage_hits, vec![0, 0]);
-        prop_assert_eq!(stats.floor_hits, n);
-        // Two stages failed for each of n queries.
-        prop_assert_eq!(stats.total_errors(), 2 * n);
+        let stats = svc.stats();
+        prop_assert_eq!(stats.stages[0].hits, 0);
+        prop_assert_eq!(stats.stages[1].hits, 0);
+        prop_assert_eq!(stats.floor_answers, n);
+        // Two stages failed (or were skipped) for each of n queries.
+        let errors: u64 = stats
+            .stages
+            .iter()
+            .flat_map(|s| s.errors.iter().map(|(_, n)| n))
+            .sum();
+        prop_assert_eq!(errors, 2 * n);
+        assert_conserved(&stats, n);
     }
 }

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qfe::core::{CardinalityEstimator, Deadline, Query, TableId};
-use qfe::estimators::chain::{ChaosEstimator, EstimatorFault};
 use qfe::estimators::BreakerConfig;
+use qfe::ml::chaos::{ChaosEstimator, EstimatorFault};
 use qfe::serve::{
     install_quiet_panic_hook, EstimatorService, MicroBatcher, ModelSlot, ServeError, ServiceConfig,
     SharedEstimator, ShedPolicy, SwapError,
