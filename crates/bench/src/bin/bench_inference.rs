@@ -6,9 +6,10 @@
 //! * `featurize` — `f32` arena build alone.
 //! * `featurize_binned` — `u16` binned arena build alone (featurize +
 //!   quantize; the delta against `featurize` is the binning cost).
+//! * `quantize` — binning a prebuilt `f32` matrix alone.
 //! * `walk_reference` — enum-tree GBDT walk over a prebuilt `f32` matrix.
-//! * `walk_compiled` — flattened-forest walk, `f32` traversal mode.
-//! * `walk_binned` — flattened-forest walk over prebuilt `u16` bins.
+//! * `walk_binned` — flattened-forest walk over prebuilt `u16` bins (an
+//!   `f32` row's prediction costs `quantize` + `walk_binned`).
 //! * `pipeline_reference` / `pipeline_compiled` — the full arena → model
 //!   → inverse-scaling pipelines the estimator batch path composes.
 //! * `mlp_reference` / `mlp_compiled` — MLP forward, matmul reference vs
@@ -19,8 +20,9 @@
 //!
 //! Hard gates (non-zero exit):
 //!
-//! * GBDT compiled predictions — both traversal modes — must be
-//!   **bit-identical** to the reference walk.
+//! * GBDT compiled predictions — over prebuilt bins and through
+//!   `predict_batch` on `f32` rows — must be **bit-identical** to the
+//!   reference walk.
 //! * The complex QFT's fused featurize-and-bin path must give, on every
 //!   mixed test query, exactly the bins of featurize-then-`bin_row`.
 //! * MLP compiled predictions must match the reference within 1e-4
@@ -153,12 +155,12 @@ fn main() {
 
     // ── Equivalence gates first: timing a wrong answer is worthless. ──
     let reference = gb.predict_batch_reference(&x_batch);
-    let compiled_f32 = gb.predict_batch(&x_batch);
+    let quantized = gb.predict_batch(&x_batch);
     let compiled_binned = gb
         .predict_batch_binned(bin_rows, &bins)
         .expect("binned path");
-    if reference != compiled_f32 {
-        eprintln!("GATE FAILED: compiled f32 walk diverged from the reference");
+    if reference != quantized {
+        eprintln!("GATE FAILED: quantize + binned walk diverged from the reference");
         std::process::exit(1);
     }
     if reference != compiled_binned {
@@ -166,7 +168,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "equivalence gate: {} predictions bit-identical down all three GBDT paths",
+        "equivalence gate: {} predictions bit-identical: reference, quantize + binned walk, prebuilt bins",
         reference.len()
     );
 
@@ -213,9 +215,6 @@ fn main() {
     };
     let walk_reference = measure(BATCH, budget, || {
         std::hint::black_box(gb.predict_batch_reference(&x_batch));
-    });
-    let walk_compiled = measure(BATCH, budget, || {
-        std::hint::black_box(gb.predict_batch(&x_batch));
     });
     let walk_binned = measure(BATCH, budget, || {
         std::hint::black_box(gb.predict_batch_binned(bin_rows, &bins).expect("binned"));
@@ -284,7 +283,6 @@ fn main() {
     println!("  featurize+bin      {featurize_binned:>9.2} µs/query");
     println!("  quantize only      {quantize:>9.2} µs/query");
     println!("  walk reference     {walk_reference:>9.2} µs/query");
-    println!("  walk compiled f32  {walk_compiled:>9.2} µs/query");
     println!("  walk binned        {walk_binned:>9.2} µs/query");
     println!("  pipeline reference {pipeline_reference:>9.2} µs/query");
     println!(
@@ -308,7 +306,7 @@ fn main() {
         "{{\"workload\":\"forest-conjunctive\",\"scale\":\"{}\",\"batch_size\":{BATCH},\
 \"cores\":{cores},\"environment\":\"{environment}\",\"fma\":{},\"simd_active\":{},\
 \"featurize_us\":{featurize:.3},\"featurize_binned_us\":{featurize_binned:.3},\"quantize_us\":{quantize:.3},\
-\"walk_reference_us\":{walk_reference:.3},\"walk_compiled_us\":{walk_compiled:.3},\"walk_binned_us\":{walk_binned:.3},\
+\"walk_reference_us\":{walk_reference:.3},\"walk_binned_us\":{walk_binned:.3},\
 \"pipeline_reference_us\":{pipeline_reference:.3},\"pipeline_compiled_us\":{pipeline_compiled:.3},\"gbdt_speedup\":{gbdt_speedup:.2},\
 \"mlp_reference_us\":{mlp_reference:.3},\"mlp_compiled_us\":{mlp_compiled_us:.3},\"mlp_speedup\":{mlp_speedup:.2},\
 \"complex_workload\":\"forest-mixed\",\"complex_featurize_us\":{complex_featurize:.3},\"complex_featurize_binned_us\":{complex_featurize_binned:.3}}}\n",

@@ -317,94 +317,36 @@ pub struct BinnedFeatureMatrix {
 }
 
 impl BinnedFeatureMatrix {
-    /// Featurize and quantize every query into a fresh arena,
-    /// row-parallel on the shared [`crate::parallel`] pool.
+    /// Featurize and quantize every query into a fresh arena, through
+    /// one reused `f32` scratch row.
     ///
     /// Rows the featurizer rejects are zero-filled with their error
     /// recorded, exactly like the `f32` arena. The binner must cover the
-    /// featurizer's width; a mismatch is a caller bug and poisons every
-    /// row with [`QfeError::ShapeMismatch`] rather than panicking.
+    /// featurizer's width; a mismatch is a caller bug, and
+    /// [`Featurizer::featurize_binned_into`] poisons every row with
+    /// [`QfeError::ShapeMismatch`] rather than panicking.
     pub fn build<F: Featurizer + ?Sized>(
         featurizer: &F,
         binner: &FeatureBinner,
         queries: &[Query],
     ) -> Self {
-        let cols = featurizer.dim();
-        let rows = queries.len();
+        let (rows, cols) = (queries.len(), featurizer.dim());
         let mut bins = vec![0u16; rows * cols];
-        if binner.features() != cols {
-            let errors = (0..rows)
-                .map(|_| {
-                    Some(QfeError::ShapeMismatch {
-                        expected: cols,
-                        actual: binner.features(),
-                    })
-                })
-                .collect();
-            return BinnedFeatureMatrix {
-                rows,
-                cols,
-                bins,
-                errors,
-            };
-        }
-        if cols == 0 {
-            let errors = queries
-                .iter()
-                .map(|query| featurizer.featurize_into(query, &mut []).err())
-                .collect();
-            return BinnedFeatureMatrix {
-                rows,
-                cols,
-                bins,
-                errors,
-            };
-        }
-        // Featurize → bin each row through one reused `f32` scratch row
-        // per worker: the intermediate float features never materialize
-        // as a batch arena, so the only `rows × cols` traffic is the
-        // `u16` output. Chunk size is fixed (never thread-derived) so the
-        // arena is bit-identical at any `QFE_THREADS` — the same
-        // determinism contract as `FeatureMatrix::build`.
-        const ROW_CHUNK: usize = 64;
-        let bin_rows = |queries: &[Query], out: &mut [u16]| {
-            let mut scratch = vec![0.0f32; cols];
-            queries
-                .iter()
-                .zip(out.chunks_exact_mut(cols))
-                .map(|(query, row)| {
-                    match featurizer.featurize_binned_into(query, binner, &mut scratch, row) {
-                        Ok(()) => None,
-                        Err(e) => {
-                            // Keep the contract of all-zero error rows
-                            // (bin 0, not `bin(0.0)` — they differ on
-                            // features with negative cuts).
-                            row.fill(0);
-                            Some(e)
-                        }
-                    }
-                })
-                .collect::<Vec<Option<QfeError>>>()
-        };
-        let errors = if rows <= ROW_CHUNK {
-            bin_rows(queries, &mut bins)
-        } else {
-            let pool = crate::parallel::current();
-            let chunks: Vec<(&[Query], &mut [u16])> = queries
-                .chunks(ROW_CHUNK)
-                .zip(bins.chunks_mut(ROW_CHUNK * cols))
-                .collect();
-            let bin_rows = &bin_rows;
-            pool.scoped(
-                chunks
-                    .into_iter()
-                    .map(|(qs, out)| move || bin_rows(qs, out))
-                    .collect(),
-            )
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        let mut scratch = vec![0.0f32; cols];
+        let errors = queries
+            .iter()
+            .zip(0..)
+            .map(|(query, r)| {
+                let row = &mut bins[r * cols..(r + 1) * cols];
+                let binned = featurizer.featurize_binned_into(query, binner, &mut scratch, row);
+                if binned.is_err() {
+                    // All-zero error rows (bin 0, not `bin(0.0)` — they
+                    // differ on features with negative cuts).
+                    row.fill(0);
+                }
+                binned.err()
+            })
+            .collect();
         BinnedFeatureMatrix {
             rows,
             cols,

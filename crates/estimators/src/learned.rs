@@ -5,10 +5,11 @@
 //! model). The featurizer is the plug-in layer of Section 4 — swapping it
 //! requires no change to the model beyond the input width.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qfe_core::estimator::{CardinalityEstimator, Estimate};
-use qfe_core::featurize::{BinnedFeatureMatrix, FeatureMatrix, Featurizer};
+use qfe_core::featurize::{FeatureMatrix, Featurizer};
 use qfe_core::{EstimateError, QfeError, Query};
 use qfe_ml::matrix::Matrix;
 use qfe_ml::scaling::LogScaler;
@@ -20,11 +21,30 @@ use crate::labels::LabeledQueries;
 /// [`LearnedEstimator::snapshot_bytes`]).
 const SNAPSHOT_MAGIC: &[u8; 8] = b"QFELE001";
 
+/// Rows featurized and predicted per model call; larger batches run one
+/// chunk per task on the shared [`qfe_core::parallel`] pool.
+const ROW_CHUNK: usize = 64;
+
+/// Per-thread buffers of [`LearnedEstimator::predict_chunk`], reused
+/// across calls: a warm singleton allocates no feature buffer.
+#[derive(Default)]
+struct Scratch {
+    /// Binned path: one `f32` feature row, and the chunk's bin ids.
+    row: Vec<f32>,
+    bins: Vec<u16>,
+    /// Dense path: the chunk's feature rows.
+    dense: Matrix,
+    /// Per-row featurization failures, in row order.
+    failed: Vec<Option<QfeError>>,
+}
+
 /// A trained (or trainable) QFT × model cardinality estimator.
 pub struct LearnedEstimator {
     featurizer: Box<dyn Featurizer + Send + Sync>,
     model: Box<dyn Regressor + Send + Sync>,
     scaler: Option<LogScaler>,
+    /// `"{model} + {qft}"`, built once: every answer carries it.
+    name: String,
     /// Times [`estimate`](CardinalityEstimator::estimate) degraded to the
     /// conservative `1.0` instead of a model prediction. The silent part
     /// of that fallback is the dangerous part — this counter makes it
@@ -40,6 +60,7 @@ impl LearnedEstimator {
         model: Box<dyn Regressor + Send + Sync>,
     ) -> Self {
         LearnedEstimator {
+            name: format!("{} + {}", model.model_name(), featurizer.name()),
             featurizer,
             model,
             scaler: None,
@@ -191,129 +212,146 @@ impl LearnedEstimator {
         }
         let model = qfe_ml::serialize::regressor_from_bytes(model_bytes)
             .map_err(|e| QfeError::Training(format!("corrupt estimator snapshot: {e}")))?;
-        Ok(LearnedEstimator {
-            featurizer,
-            model,
-            scaler: Some(scaler),
-            fallbacks: AtomicU64::new(0),
-        })
+        let mut restored = LearnedEstimator::new(featurizer, model);
+        restored.scaler = Some(scaler);
+        Ok(restored)
     }
 
-    /// Featurize + predict a whole batch, choosing the cheapest path the
-    /// model supports.
+    /// The one prediction routine: featurize and predict `queries`,
+    /// handing each row's estimate (or typed error) to `emit`, in order.
+    /// [`try_estimate`](CardinalityEstimator::try_estimate),
+    /// [`estimate`](CardinalityEstimator::estimate) and
+    /// [`estimate_batch`](CardinalityEstimator::estimate_batch) all answer
+    /// through it, so a singleton and a batch row run the same code.
     ///
-    /// When the model publishes a [`feature_binner`](Regressor::
-    /// feature_binner) (compiled GBDT), the workload is featurized
-    /// straight into a `u16` [`BinnedFeatureMatrix`] — half the arena
-    /// bytes of the `f32` path and the model then walks its flattened
-    /// trees on integer compares. The quantization contract (`bin(v) <= k
-    /// ⇔ v <= cut[k]`) makes the predictions bit-identical to the `f32`
-    /// path, so callers never observe which path ran. Any refusal
-    /// (`predict_batch_binned` → `None`) falls through to the dense
-    /// `f32` pipeline.
-    fn batch_predictions(&self, queries: &[Query]) -> (Vec<f32>, Vec<Option<QfeError>>) {
-        if let Some(binner) = self.model.feature_binner() {
-            if binner.features() == self.featurizer.dim() {
-                let m = BinnedFeatureMatrix::build(self.featurizer.as_ref(), binner, queries);
-                let (rows, _cols, bins, errors) = m.into_raw();
-                if let Some(preds) = self.model.predict_batch_binned(rows, &bins) {
-                    return (preds, errors);
-                }
-                // The model declined the binned arena (e.g. a wrapper
-                // delegating `feature_binner` but not the predict hook):
-                // rebuild on the f32 path below rather than guessing.
+    /// Batches up to [`ROW_CHUNK`] rows run on the calling thread;
+    /// larger ones run chunk by chunk on the shared pool. Rows never
+    /// interact, so the values are the same at any chunking and thread
+    /// count.
+    fn predict_each(&self, queries: &[Query], mut emit: impl FnMut(Result<f64, EstimateError>)) {
+        let Some(scaler) = &self.scaler else {
+            for _ in queries {
+                emit(Err(EstimateError::Untrained {
+                    estimator: self.name.clone(),
+                }));
             }
+            return;
+        };
+        if queries.len() <= ROW_CHUNK {
+            return self.predict_chunk(scaler, queries, &mut emit);
         }
-        let (rows, cols, data, errors) =
-            FeatureMatrix::build(self.featurizer.as_ref(), queries).into_raw();
-        let x = Matrix::from_vec(rows, cols, data);
-        (self.model.predict_batch(&x), errors)
+        let pool = qfe_core::parallel::current();
+        let chunks = pool.par_chunks(queries, ROW_CHUNK, |_, chunk| {
+            let mut rows = Vec::with_capacity(chunk.len());
+            self.predict_chunk(scaler, chunk, &mut |row| rows.push(row));
+            rows
+        });
+        chunks.into_iter().flatten().for_each(emit);
+    }
+
+    /// [`predict_each`](Self::predict_each) over at most [`ROW_CHUNK`]
+    /// queries, through this thread's [`Scratch`] (a fresh one if a pool
+    /// task re-enters on a thread whose scratch is in use).
+    ///
+    /// A model that publishes a [`feature_binner`](Regressor::
+    /// feature_binner) (compiled GBDT) gets the chunk featurized straight
+    /// to `u16` bin ids and walks its flattened trees on integer
+    /// compares; any other model gets dense `f32` rows. A row that fails
+    /// to featurize is predicted with the rest and answered with its
+    /// featurization error.
+    fn predict_chunk(
+        &self,
+        scaler: &LogScaler,
+        queries: &[Query],
+        emit: &mut impl FnMut(Result<f64, EstimateError>),
+    ) {
+        thread_local! {
+            static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+        }
+        let (rows, dim) = (queries.len(), self.featurizer.dim());
+        let mut run = |s: &mut Scratch| {
+            s.failed.clear();
+            let preds = match self.model.feature_binner() {
+                Some(binner) => {
+                    s.row.resize(dim, 0.0);
+                    s.bins.resize(rows * dim, 0);
+                    for (r, query) in queries.iter().enumerate() {
+                        let out = &mut s.bins[r * dim..(r + 1) * dim];
+                        let featurized = self
+                            .featurizer
+                            .featurize_binned_into(query, binner, &mut s.row, out);
+                        s.failed.push(featurized.err());
+                    }
+                    self.model.predict_batch_binned(rows, &s.bins)
+                }
+                None => {
+                    s.dense.reset(rows, dim);
+                    for (r, query) in queries.iter().enumerate() {
+                        let featurized = self.featurizer.featurize_into(query, s.dense.row_mut(r));
+                        s.failed.push(featurized.err());
+                    }
+                    Some(self.model.predict_batch(&s.dense))
+                }
+            };
+            // A model that answers no row (or too few) reads as `NaN`.
+            let preds = preds.unwrap_or_default();
+            for (r, failed) in s.failed.drain(..).enumerate() {
+                let value = scaler.inverse(preds.get(r).copied().unwrap_or(f32::NAN));
+                emit(match failed {
+                    Some(e) => Err(e.into()),
+                    None if value.is_finite() && value >= 1.0 => Ok(value),
+                    None => Err(EstimateError::NonFinite {
+                        estimator: self.name.clone(),
+                        value,
+                    }),
+                });
+            }
+        };
+        SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => run(&mut scratch),
+            Err(_) => run(&mut Scratch::default()),
+        });
     }
 }
 
 impl CardinalityEstimator for LearnedEstimator {
     fn name(&self) -> String {
-        format!("{} + {}", self.model.model_name(), self.featurizer.name())
+        self.name.clone()
     }
 
+    /// The infallible path: "try, and degrade to the most conservative
+    /// legal estimate on any typed failure" — same classification as
+    /// `try_estimate`, but the degradation is counted rather than silent.
     fn estimate(&self, query: &Query) -> f64 {
-        // The infallible path is defined as "try, and degrade to the most
-        // conservative legal estimate on any typed failure" — same
-        // classification as `try_estimate`, but the degradation is
-        // counted rather than silent.
-        match self.try_estimate(query) {
-            Ok(est) => est.value,
+        let mut value = 1.0;
+        self.predict_each(std::slice::from_ref(query), |row| match row {
+            Ok(v) => value = v,
             Err(_) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                1.0
             }
-        }
+        });
+        value
     }
 
     fn try_estimate(&self, query: &Query) -> Result<Estimate, EstimateError> {
-        let Some(scaler) = &self.scaler else {
-            return Err(EstimateError::Untrained {
-                estimator: self.name(),
-            });
-        };
-        let features = self
-            .featurizer
-            .featurize(query)
-            .map_err(EstimateError::from)?;
-        let value = scaler.inverse(self.model.predict(features.as_slice()));
-        if !value.is_finite() || value < 1.0 {
-            return Err(EstimateError::NonFinite {
-                estimator: self.name(),
-                value,
-            });
-        }
-        Ok(Estimate::primary(value, self.name()))
+        // Overwritten: `predict_each` answers every row exactly once.
+        let mut value = Ok(1.0);
+        self.predict_each(std::slice::from_ref(query), |row| value = row);
+        Ok(Estimate::primary(value?, self.name.clone()))
     }
 
-    /// One featurization pass into a contiguous arena, one model forward
-    /// over the whole batch — this is the win the batched execution path
-    /// exists for. With a compiled model the arena is the quantized
-    /// [`BinnedFeatureMatrix`] (`u16` bin ids, integer tree traversal);
-    /// otherwise the dense `f32` [`FeatureMatrix`] → [`Matrix`] pipeline
-    /// runs (`batch_predictions` picks per call). Rows
-    /// that fail to featurize stay zero-filled so the arena converts
-    /// without copying; their predictions are computed and discarded,
-    /// which is cheaper than compacting the matrix in the common all-ok
-    /// case. Row-for-row equivalent to
-    /// [`try_estimate`](Self::try_estimate): same errors, bit-identical
-    /// values on both paths.
+    /// One featurization pass and one model call per [`ROW_CHUNK`] rows
+    /// (see `predict_each`): with a compiled model the rows are quantized
+    /// `u16` bin ids and the trees are walked on integer compares. Rows
+    /// that fail to featurize get their own error without disturbing
+    /// their batch-mates. Row-for-row identical to
+    /// [`try_estimate`](Self::try_estimate): same errors, same bits.
     fn estimate_batch(&self, queries: &[Query]) -> Vec<Result<Estimate, EstimateError>> {
-        let Some(scaler) = &self.scaler else {
-            return queries
-                .iter()
-                .map(|_| {
-                    Err(EstimateError::Untrained {
-                        estimator: self.name(),
-                    })
-                })
-                .collect();
-        };
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let (preds, errors) = self.batch_predictions(queries);
-        errors
-            .into_iter()
-            .zip(preds)
-            .map(|(err, y)| {
-                if let Some(e) = err {
-                    return Err(EstimateError::from(e));
-                }
-                let value = scaler.inverse(y);
-                if !value.is_finite() || value < 1.0 {
-                    return Err(EstimateError::NonFinite {
-                        estimator: self.name(),
-                        value,
-                    });
-                }
-                Ok(Estimate::primary(value, self.name()))
-            })
-            .collect()
+        let mut out = Vec::with_capacity(queries.len());
+        self.predict_each(queries, |row| {
+            out.push(row.map(|value| Estimate::primary(value, self.name.clone())));
+        });
+        out
     }
 
     fn memory_bytes(&self) -> usize {

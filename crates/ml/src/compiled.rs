@@ -12,24 +12,22 @@
 //! indexes the node array. The walk is a branch-predictable
 //! `while r & LEAF_BIT == 0` loop with no enum tags.
 //!
-//! Two traversal modes share the structure:
+//! Rows reach the walk as `u16` bin ids from the forest's own
+//! [`FeatureBinner`], and each split compares `bins[f] <= threshold_bin`
+//! — integer compares, no float loads. The binner is built from the
+//! forest's split thresholds, and the quantization contract
+//! (`bin(v) <= k ⇔ v <= cuts[k]`, see `qfe_core::featurize::binned`,
+//! with `NaN` mapping to `BIN_OVERFLOW`) makes every branch decision —
+//! and therefore every prediction bit — identical to the reference
+//! compare `x[f] <= t`. An `f32` row is answered by binning it first
+//! (`Gbdt::predict_batch`), so this is the one walk every prediction of
+//! a compiled forest takes.
 //!
-//! * **`f32` rows** compare against a `thresholds` array parallel to the
-//!   node array — exactly the reference compare (`x[f] <= t`), so results
-//!   are **bit-identical** to the enum walk.
-//! * **binned rows** (`u16` bin ids from a
-//!   [`FeatureBinner`]) compare `bins[f] <= threshold_bin` — integer
-//!   compares, no float loads. The binner is built from the forest's own
-//!   split thresholds, and the quantization contract
-//!   (`bin(v) <= k ⇔ v <= cuts[k]`, see `qfe_core::featurize::binned`)
-//!   makes every branch decision — and therefore every prediction bit —
-//!   identical to the `f32` walk.
-//!
-//! Both modes accumulate per-row leaf sums in tree order, matching the
+//! The walk accumulates per-row leaf sums in tree order, matching the
 //! reference accumulation order, so `base + lr * acc` reproduces the
 //! reference output exactly. Compilation is total for every forest the
 //! trainer or decoder can produce; `CompiledGbdt::compile` returns
-//! `None` (callers keep the reference path) only for shapes outside the
+//! `None` (callers keep the reference walk) only for shapes outside the
 //! `u16`/`u32` index space — >65536 features, >65534 distinct thresholds
 //! on one feature, or >2³¹ nodes.
 //!
@@ -49,16 +47,12 @@
 
 use qfe_core::featurize::FeatureBinner;
 
-use crate::matrix::Matrix;
-
 /// High bit of a child ref: set → the remaining 31 bits index the leaf
 /// array; clear → they index the split-node array.
 pub const LEAF_BIT: u32 = 1 << 31;
 
-/// One flattened split node. 12 bytes; the split threshold's f32 value
-/// lives in a parallel array (only the `f32` traversal mode needs it, and
-/// keeping it out of the node makes the binned walk's working set 25%
-/// smaller).
+/// One flattened split node. 12 bytes: the split threshold is stored
+/// only as its index in the feature's cut array.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub struct CompiledNode {
@@ -78,9 +72,6 @@ pub struct CompiledNode {
 pub struct CompiledGbdt {
     /// All trees' split nodes, contiguous, tree-major.
     nodes: Vec<CompiledNode>,
-    /// `thresholds[i]` is the f32 threshold of `nodes[i]` (the `f32`
-    /// traversal mode's compare operand).
-    thresholds: Vec<f32>,
     /// All trees' leaf values, contiguous, tree-major.
     leaves: Vec<f32>,
     /// Per-tree root ref ([`LEAF_BIT`]-encoded: a single-leaf tree's root
@@ -132,7 +123,6 @@ impl CompiledGbdt {
         let binner = FeatureBinner::from_cuts(&per_feature)?;
 
         let mut nodes = Vec::new();
-        let mut thresholds = Vec::new();
         let mut leaves = Vec::new();
         let mut roots = Vec::with_capacity(trees.len());
         for tree in trees {
@@ -161,7 +151,6 @@ impl CompiledGbdt {
                             left: 0,
                             right: 0,
                         });
-                        thresholds.push(*threshold);
                     }
                 }
             }
@@ -180,7 +169,6 @@ impl CompiledGbdt {
         }
         Some(CompiledGbdt {
             nodes,
-            thresholds,
             leaves,
             roots,
             binner,
@@ -195,34 +183,8 @@ impl CompiledGbdt {
         &self.binner
     }
 
-    /// Feature width the forest was trained on.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Total split-node count across the forest.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Walk one tree from `root` over an `f32` row. Identical branch
-    /// decisions to the reference enum walk.
-    #[inline]
-    fn walk_f32(&self, root: u32, row: &[f32]) -> f32 {
-        let mut r = root;
-        while r & LEAF_BIT == 0 {
-            let n = &self.nodes[r as usize];
-            r = if row[n.feature as usize] <= self.thresholds[r as usize] {
-                n.left
-            } else {
-                n.right
-            };
-        }
-        self.leaves[(r & !LEAF_BIT) as usize]
-    }
-
     /// Walk one tree from `root` over a binned row. Integer compares
-    /// only; branch decisions match [`Self::walk_f32`] by the
+    /// only; branch decisions match the reference walk by the
     /// quantization contract.
     #[inline]
     fn walk_binned(&self, root: u32, row: &[u16]) -> f32 {
@@ -239,20 +201,9 @@ impl CompiledGbdt {
     }
 
     /// Add every tree's contribution for rows `base_row ..
-    /// base_row + acc.len()` of `x` into `acc`, trees-outer / rows-inner
-    /// (one tree's nodes stay hot while the batch streams through).
-    /// Accumulation is in tree order per row — the reference order — so
-    /// the sums are bit-identical to the enum walk.
-    pub fn accumulate_rows(&self, x: &Matrix, base_row: usize, acc: &mut [f32]) {
-        for &root in &self.roots {
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a += self.walk_f32(root, x.row(base_row + j));
-            }
-        }
-    }
-
-    /// [`Self::accumulate_rows`] over a row-major `u16` bin arena
-    /// (`input_dim` ids per row) — the all-integer hot path.
+    /// base_row + acc.len()` of a row-major `u16` bin arena (`input_dim`
+    /// ids per row) into `acc`, trees-outer / rows-inner (one tree's
+    /// nodes stay hot while the batch streams through).
     ///
     /// Rows advance eight abreast (lleaves-style): the tree walk is a
     /// chain of dependent loads, so eight independent cursors hide most
@@ -300,7 +251,6 @@ impl CompiledGbdt {
     /// `Gbdt::memory_bytes` adds to the retained reference trees).
     pub fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<CompiledNode>()
-            + self.thresholds.len() * 4
             + self.leaves.len() * 4
             + self.roots.len() * 4
             + self.binner.memory_bytes()
@@ -312,7 +262,11 @@ impl CompiledGbdt {
     /// identical bytes at any thread count. Not a durable format — the
     /// snapshot format serializes the reference trees and recompiles on
     /// decode.
-    pub fn fingerprint_bytes(&self) -> Vec<u8> {
+    ///
+    /// `trees` are the reference trees this forest was compiled from:
+    /// their split thresholds, in tree-major node order (the order
+    /// [`Self::compile`] numbered the split nodes), follow the nodes.
+    pub(crate) fn fingerprint_bytes(&self, trees: &[crate::gbdt::Tree]) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.nodes.len() * 12 + self.leaves.len() * 4 + 64);
         out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
         for n in &self.nodes {
@@ -321,8 +275,10 @@ impl CompiledGbdt {
             out.extend_from_slice(&n.left.to_le_bytes());
             out.extend_from_slice(&n.right.to_le_bytes());
         }
-        for &t in &self.thresholds {
-            out.extend_from_slice(&t.to_bits().to_le_bytes());
+        for node in trees.iter().flat_map(|t| &t.nodes) {
+            if let crate::gbdt::Node::Split { threshold, .. } = node {
+                out.extend_from_slice(&threshold.to_bits().to_le_bytes());
+            }
         }
         out.extend_from_slice(&(self.leaves.len() as u64).to_le_bytes());
         for &v in &self.leaves {

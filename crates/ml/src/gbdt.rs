@@ -329,8 +329,8 @@ impl Gbdt {
 
     /// Heap footprint of the reference (pointer-free enum) trees alone —
     /// the baseline the compiled layout is measured against. The
-    /// flattened form must come out *smaller* (12-byte packed splits + a
-    /// 4-byte threshold and 4-byte leaf each, vs 20 bytes per enum node),
+    /// flattened form must come out *smaller* (12-byte packed splits and
+    /// 4-byte leaves, vs 20 bytes per enum node),
     /// which `compiled_smaller_than_reference` in the equivalence suite
     /// pins.
     pub fn reference_memory_bytes(&self) -> usize {
@@ -340,7 +340,8 @@ impl Gbdt {
     /// Deterministic byte image of the compiled layout (for the
     /// thread-count determinism gate); `None` when not compiled.
     pub fn compiled_fingerprint_bytes(&self) -> Option<Vec<u8>> {
-        self.compiled.as_ref().map(CompiledGbdt::fingerprint_bytes)
+        let compiled = self.compiled.as_ref()?;
+        Some(compiled.fingerprint_bytes(&self.trees))
     }
 
     /// Quantile cut points for one feature column.
@@ -1099,16 +1100,19 @@ impl Gbdt {
         acc
     }
 
-    /// `base + lr * sum` over the tree-order accumulator.
-    fn finish(&self, acc: Vec<f32>) -> Vec<f32> {
+    /// `base + lr * sum` over the tree-order accumulator, in place.
+    fn finish(&self, mut acc: Vec<f32>) -> Vec<f32> {
         let lr = self.config.learning_rate;
-        acc.iter().map(|&sum| self.base + lr * sum).collect()
+        for a in &mut acc {
+            *a = self.base + lr * *a;
+        }
+        acc
     }
 
     /// The reference prediction path: the enum-node tree walk the model
     /// trained with. Kept as the bit-exactness baseline for the compiled
-    /// walk (and as the fallback for forests outside the compiled index
-    /// space).
+    /// binned walk (and as the fallback for forests outside the compiled
+    /// index space).
     ///
     /// Trees-outer / rows-inner: each tree's node array stays hot in
     /// cache while the whole batch streams through its walk. Each
@@ -1125,6 +1129,9 @@ impl Gbdt {
             !self.trees.is_empty(),
             "predict called before fit — the GBDT has no trees yet"
         );
+        // Empty-batch contract: 0 rows → 0 predictions, before the width
+        // check (a `0×0` from `Matrix::from_rows(&[])` carries no width to
+        // check against).
         if x.rows() == 0 {
             return Vec::new();
         }
@@ -1181,35 +1188,24 @@ impl Regressor for Gbdt {
     }
 
     fn predict_batch(&self, x: &Matrix) -> Vec<f32> {
-        assert!(
-            !self.trees.is_empty(),
-            "predict called before fit — the GBDT has no trees yet"
-        );
-        // Empty-batch contract: 0 rows → 0 predictions, before the width
-        // check (a `0×0` from `Matrix::from_rows(&[])` carries no width to
-        // check against).
-        if x.rows() == 0 {
-            return Vec::new();
-        }
-        assert_eq!(
-            x.cols(),
-            self.input_dim,
-            "input dimension {} does not match trained dimension {}",
-            x.cols(),
-            self.input_dim
-        );
-        // The compiled walk takes the same branches and accumulates in
-        // the same tree order as the reference walk below, so the two are
-        // bit-identical (proptested in tests/compiled_equivalence.rs).
-        if let Some(compiled) = &self.compiled {
-            return self.finish(self.accumulate(
+        // Quantize, then take the binned walk: by the binner's contract it
+        // branches exactly as the reference walk and accumulates in the
+        // same tree order, so the two are bit-identical (proptested in
+        // tests/compiled_equivalence.rs). Everything else — untrained, an
+        // empty batch, a wrong width — gets the reference walk's contract.
+        let cols = self.input_dim;
+        match &self.compiled {
+            Some(compiled) if x.rows() > 0 && x.cols() == cols => self.finish(self.accumulate(
                 |base_row, acc| {
-                    compiled.accumulate_rows(x, base_row, acc);
+                    let rows = &x.data()[base_row * cols..(base_row + acc.len()) * cols];
+                    let mut bins = vec![0u16; rows.len()];
+                    compiled.binner().bin_matrix(rows, &mut bins);
+                    compiled.accumulate_binned(&bins, 0, acc);
                 },
                 x.rows(),
-            ));
+            )),
+            _ => self.predict_batch_reference(x),
         }
-        self.predict_batch_reference(x)
     }
 
     fn feature_binner(&self) -> Option<&FeatureBinner> {
@@ -1222,7 +1218,7 @@ impl Regressor for Gbdt {
             return Some(Vec::new());
         }
         if bins.len() != rows.checked_mul(self.input_dim)? {
-            return None; // shape mismatch: let the caller take the f32 path
+            return None; // shape mismatch: not an arena of this model's width
         }
         Some(self.finish(self.accumulate(
             |base_row, acc| {

@@ -3,7 +3,7 @@
 //! autovectorize (k-inner accumulation over contiguous rows).
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -74,6 +74,15 @@ impl Matrix {
         self.cols = row.len();
         self.data.clear();
         self.data.extend_from_slice(row);
+    }
+
+    /// Reshape `self` into a `rows × cols` zero matrix, reusing the
+    /// allocation when capacity suffices.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Number of rows.

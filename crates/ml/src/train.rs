@@ -154,23 +154,23 @@ pub trait Regressor {
     }
 
     /// The quantization table for this model's compiled inference form,
-    /// if it has one. A `Some` is an offer: the caller may featurize
-    /// straight to `u16` bin ids (one pass, half the arena bytes) and
-    /// predict through [`predict_batch_binned`](Self::predict_batch_binned)
-    /// with results bit-identical to the `f32` path. The default — and
-    /// any wrapper that perturbs predictions, like the chaos injector —
-    /// returns `None` so callers stay on the `f32` path.
+    /// if it has one. A `Some` is a commitment: the model answers
+    /// [`predict_batch_binned`](Self::predict_batch_binned) on every arena
+    /// of the binner's width, bit-identically to the `f32` path, so a
+    /// caller featurizes straight to `u16` bin ids and never needs the
+    /// `f32` path for this model. The default — and any wrapper that
+    /// perturbs predictions, like the chaos injector — returns `None` so
+    /// callers stay on the `f32` path.
     fn feature_binner(&self) -> Option<&FeatureBinner> {
         None
     }
 
     /// Predict from a row-major arena of `u16` bin ids produced with this
     /// model's [`feature_binner`](Self::feature_binner) (`rows` rows of
-    /// `dim` ids each). `None` means "not supported here" — the model is
-    /// not compiled, or the arena shape is wrong — and the caller must
-    /// fall back to [`predict_batch`](Self::predict_batch); it is never
-    /// an error. Implementations must return exactly `rows` predictions,
-    /// bit-identical to the `f32` path on the same featurized rows.
+    /// `dim` ids each). `None` only when the model has no binner or the
+    /// arena's length is not `rows * dim`. Implementations must return
+    /// exactly `rows` predictions, bit-identical to the `f32` path on the
+    /// same featurized rows.
     fn predict_batch_binned(&self, rows: usize, bins: &[u16]) -> Option<Vec<f32>> {
         let _ = (rows, bins);
         None

@@ -2,10 +2,12 @@
 //!
 //! The contract being enforced (see DESIGN.md §16):
 //!
-//! * The flattened GBDT — f32 traversal *and* the quantized `u16`
-//!   traversal — is **bit-identical** to the reference enum-tree walk,
-//!   including at the exact split thresholds and their neighboring
-//!   representable floats, where a `<` vs `<=` slip would show first.
+//! * The flattened GBDT's quantized `u16` walk — over caller-binned
+//!   arenas and behind `predict_batch`, which bins `f32` rows itself — is
+//!   **bit-identical** to the reference enum-tree walk, including at the
+//!   exact split thresholds and their neighboring representable floats,
+//!   where a `<` vs `<=` slip would show first, and on `NaN`, `±0.0` and
+//!   `±∞`.
 //! * The compiled MLP kernels (scalar and FMA) are **tolerance-pinned**
 //!   against the reference matmul forward pass: f32 re-association
 //!   changes the bits, so the gate is relative error, not equality.
@@ -109,6 +111,46 @@ fn boundary_values_bin_and_predict_identically() {
         gb.predict_batch_binned(px.rows(), &binned(&gb, &px))
             .expect("binned"),
         "binned walk at boundaries"
+    );
+}
+
+/// `predict_batch` quantizes its `f32` rows and takes the binned walk; it
+/// must match the reference walk bit for bit on the values where a float
+/// compare and a bin compare could part ways — `NaN` (never `<=`, bins to
+/// `BIN_OVERFLOW`), `±0.0` (equal under `<=`, one survives dedup as a
+/// cut), `±∞` and exact cuts — alone and mixed in one row, and across the
+/// pool's row chunks.
+#[test]
+fn predict_batch_is_bit_identical_on_special_values() {
+    let (gb, _x) = trained_gbdt(300, 3, 30, 13);
+    let binner = gb.feature_binner().expect("binner");
+    let dims = binner.features();
+    let specials = [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY];
+    let mut probes: Vec<Vec<f32>> = specials.iter().map(|&v| vec![v; dims]).collect();
+    for f in 0..dims {
+        for &v in specials.iter().chain(binner.cuts(f)) {
+            for fill in [0.25, f32::NAN, -0.0, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut row = vec![fill; dims];
+                row[f] = v;
+                probes.push(row);
+            }
+        }
+    }
+    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+    let px = Matrix::from_rows(&probes);
+    let reference = bits(gb.predict_batch_reference(&px));
+    assert_eq!(reference, bits(gb.predict_batch(&px)), "special values");
+    for (r, &want) in reference.iter().enumerate() {
+        assert_eq!(gb.predict(px.row(r)).to_bits(), want, "singleton row {r}");
+    }
+    // Enough rows for several parallel row chunks: each chunk bins its
+    // own slice of the matrix.
+    let many: Vec<Vec<f32>> = probes.iter().cycle().take(5000).cloned().collect();
+    let mx = Matrix::from_rows(&many);
+    assert_eq!(
+        bits(gb.predict_batch_reference(&mx)),
+        bits(gb.predict_batch(&mx)),
+        "special values across row chunks"
     );
 }
 

@@ -338,10 +338,11 @@ impl Dispatch<'_> {
         let Some(deadline) = tightest.min_by_key(Deadline::remaining) else {
             return;
         };
+        let queries = Arc::from(std::mem::take(&mut self.queries));
         self.results = self
             .batcher
             .svc
-            .estimate_batch_within(&self.queries, deadline);
+            .estimate_shared_batch_within(queries, deadline);
     }
 }
 

@@ -8,7 +8,11 @@
 //!
 //! - a call borrows an idle runner, or spawns one when none is idle;
 //! - the job runs under `catch_unwind`, and the caller waits at most its
-//!   share for the answer;
+//!   share for the answer, counted from when the runner *starts* the job:
+//!   a job that waited for its runner (a thread wake-up, a spawn, a stall
+//!   of the whole process) keeps its full share. The wait for the start
+//!   and the run together stay within the call's outer bound (the
+//!   request deadline);
 //! - an answered runner (value or contained panic) goes back to the idle
 //!   list;
 //! - a runner that misses the share is abandoned: its job channel is
@@ -28,7 +32,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -79,38 +83,47 @@ impl RunnerPool {
         }
     }
 
-    /// Run `job` on a runner and wait at most `share` for its result.
-    pub(crate) fn run<T, F>(&self, share: Duration, job: F) -> RunOutcome<T>
+    /// Run `job` on a runner and wait for its result at most `share`
+    /// after the runner starts it, and at most `bound` in all.
+    pub(crate) fn run<T, F>(&self, share: Duration, bound: Duration, job: F) -> RunOutcome<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
+        let give_up = Instant::now() + bound;
         // Pop in its own statement so the idle lock is released before a
         // spawn.
         let idle = self.lock_idle().pop();
         let Some(runner) = idle.or_else(|| self.spawn()) else {
             return RunOutcome::Unavailable;
         };
-        let (tx, rx) = mpsc::sync_channel(1);
+        // The runner reports `None` when it starts the job, then the
+        // job's result.
+        let (tx, rx) = mpsc::sync_channel(2);
         // A runner exits only once its sender is dropped, so the send
         // cannot fail while we hold `runner`.
         if runner
             .send(Box::new(move || {
-                let _ = tx.send(catch_unwind(AssertUnwindSafe(job)));
+                let _ = tx.send(None);
+                let _ = tx.send(Some(catch_unwind(AssertUnwindSafe(job))));
             }))
             .is_err()
         {
             return RunOutcome::Unavailable;
         }
-        match rx.recv_timeout(share) {
-            Ok(result) => {
+        let finished = rx.recv_timeout(bound).and_then(|started| match started {
+            None => rx.recv_timeout(share.min(give_up.saturating_duration_since(Instant::now()))),
+            finished => Ok(finished),
+        });
+        match finished {
+            Ok(Some(result)) => {
                 self.lock_idle().push(runner);
                 match result {
                     Ok(value) => RunOutcome::Done(value),
                     Err(_) => RunOutcome::Panicked,
                 }
             }
-            Err(_) => {
+            _ => {
                 // Dropping `runner` closes its job channel: the thread
                 // exits as soon as the stalled call returns.
                 self.abandoned.fetch_add(1, Ordering::Relaxed);
@@ -182,7 +195,11 @@ mod tests {
     fn sequential_calls_reuse_one_runner() {
         let pool = RunnerPool::new();
         for i in 0..1000u64 {
-            match pool.run(Duration::from_secs(10), move || i * 2) {
+            match pool.run(
+                Duration::from_secs(10),
+                Duration::from_secs(10),
+                move || i * 2,
+            ) {
                 RunOutcome::Done(v) => assert_eq!(v, i * 2),
                 _ => panic!("call {i} did not complete"),
             }
@@ -194,12 +211,14 @@ mod tests {
     #[test]
     fn a_panicking_job_is_contained_and_its_runner_reused() {
         let pool = RunnerPool::new();
-        let outcome = pool.run(Duration::from_secs(10), || -> u32 {
-            panic!("runner job bug")
-        });
+        let outcome = pool.run(
+            Duration::from_secs(10),
+            Duration::from_secs(10),
+            || -> u32 { panic!("runner job bug") },
+        );
         assert!(matches!(outcome, RunOutcome::Panicked));
         assert!(matches!(
-            pool.run(Duration::from_secs(10), || 7u32),
+            pool.run(Duration::from_secs(10), Duration::from_secs(10), || 7u32),
             RunOutcome::Done(7)
         ));
         let stats = pool.stats();
@@ -210,22 +229,26 @@ mod tests {
     fn a_stalled_job_abandons_its_runner_and_the_next_call_spawns_anew() {
         let pool = RunnerPool::new();
         assert!(matches!(
-            pool.run(Duration::from_secs(10), || ()),
+            pool.run(Duration::from_secs(10), Duration::from_secs(10), || ()),
             RunOutcome::Done(())
         ));
         // The stalled job blocks until `release` is dropped.
         let (release, gate) = mpsc::channel::<()>();
         let t0 = Instant::now();
-        let outcome = pool.run(Duration::from_millis(20), move || {
-            let _ = gate.recv();
-        });
+        let outcome = pool.run(
+            Duration::from_millis(20),
+            Duration::from_secs(10),
+            move || {
+                let _ = gate.recv();
+            },
+        );
         assert!(matches!(outcome, RunOutcome::Timeout));
         assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
         let stats = pool.stats();
         assert_eq!((stats.spawned, stats.abandoned, stats.idle), (1, 1, 0));
 
         assert!(matches!(
-            pool.run(Duration::from_secs(10), || 3u8),
+            pool.run(Duration::from_secs(10), Duration::from_secs(10), || 3u8),
             RunOutcome::Done(3)
         ));
         let stats = pool.stats();
@@ -238,5 +261,68 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(pool.stats().live, 1, "the abandoned runner must exit");
+    }
+
+    /// Park a runner busy with a blocker job on the idle list, so the
+    /// next call queues behind the blocker; dropping the returned sender
+    /// releases it.
+    fn park_busy_runner(pool: &RunnerPool) -> mpsc::Sender<()> {
+        let runner = pool.spawn().expect("a runner thread");
+        let (release, gate) = mpsc::channel::<()>();
+        runner
+            .send(Box::new(move || {
+                let _ = gate.recv();
+            }))
+            .expect("a live runner takes jobs");
+        pool.lock_idle().push(runner);
+        release
+    }
+
+    #[test]
+    fn the_share_is_charged_from_the_start_of_the_job() {
+        let share = Duration::from_millis(100);
+        let bound = Duration::from_secs(30);
+        let pool = RunnerPool::new();
+
+        // Queued behind a blocker that outlives the share: the job starts
+        // late and still gets its whole share to answer in.
+        let release = park_busy_runner(&pool);
+        let releaser = std::thread::spawn(move || {
+            std::thread::sleep(share * 3);
+            drop(release);
+        });
+        let t0 = Instant::now();
+        let outcome = pool.run(share, bound, move || {
+            std::thread::sleep(share / 4);
+            5u8
+        });
+        assert!(matches!(outcome, RunOutcome::Done(5)));
+        assert!(t0.elapsed() >= share * 3, "{:?}", t0.elapsed());
+        releaser.join().unwrap();
+
+        // Started on time, then stalled: abandoned about one share later,
+        // long before the outer bound.
+        let (stall, gate) = mpsc::channel::<()>();
+        let t0 = Instant::now();
+        let outcome = pool.run(share, bound, move || {
+            let _ = gate.recv();
+        });
+        assert!(matches!(outcome, RunOutcome::Timeout));
+        let waited = t0.elapsed();
+        assert!(waited >= share && waited < bound / 3, "{waited:?}");
+        drop(stall);
+
+        // Never started: gives up by the outer bound, long before the
+        // share.
+        let release = park_busy_runner(&pool);
+        let t0 = Instant::now();
+        assert!(matches!(
+            pool.run(bound, share, || 6u8),
+            RunOutcome::Timeout
+        ));
+        let waited = t0.elapsed();
+        assert!(waited >= share && waited < bound / 3, "{waited:?}");
+        drop(release);
+        assert_eq!(pool.stats().abandoned, 2);
     }
 }

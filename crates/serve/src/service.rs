@@ -285,7 +285,7 @@ impl EstimatorService {
         // admission queueing included — for every outcome, errors too.
         let started = Instant::now();
         let result = self.admission.acquire(&deadline).and_then(|_permit| {
-            let mut rows = self.walk_stages(std::slice::from_ref(query), deadline);
+            let mut rows = self.walk_stages(Arc::from(std::slice::from_ref(query)), deadline);
             // The walk returns one row per query, so the fallback never
             // runs; it keeps this path free of a panic.
             rows.pop().unwrap_or_else(|| Err(self.give_up(deadline, 0)))
@@ -322,7 +322,19 @@ impl EstimatorService {
         queries: &[Query],
         deadline: Deadline,
     ) -> Vec<Result<Estimate, ServeError>> {
-        if queries.is_empty() {
+        self.estimate_shared_batch_within(Arc::from(queries), deadline)
+    }
+
+    /// [`estimate_batch_within`](Self::estimate_batch_within) over a batch
+    /// the caller hands over: the stage calls share it instead of each
+    /// copying every query.
+    pub(crate) fn estimate_shared_batch_within(
+        &self,
+        queries: Arc<[Query]>,
+        deadline: Deadline,
+    ) -> Vec<Result<Estimate, ServeError>> {
+        let rows = queries.len();
+        if rows == 0 {
             return Vec::new();
         }
         let started = Instant::now();
@@ -330,17 +342,15 @@ impl EstimatorService {
             Ok(_permit) => {
                 self.batch_drains.fetch_add(1, Ordering::Relaxed);
                 self.batched_requests
-                    .fetch_add(queries.len() as u64, Ordering::Relaxed);
-                self.recorder.record(
-                    BATCH_SIZE_METRIC,
-                    Duration::from_nanos(queries.len() as u64),
-                );
+                    .fetch_add(rows as u64, Ordering::Relaxed);
+                self.recorder
+                    .record(BATCH_SIZE_METRIC, Duration::from_nanos(rows as u64));
                 self.walk_stages(queries, deadline)
             }
-            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
+            Err(e) => vec![Err(e); rows],
         };
-        let amortized = started.elapsed() / queries.len() as u32;
-        for _ in queries {
+        let amortized = started.elapsed() / rows as u32;
+        for _ in 0..rows {
             self.recorder.record(REQUEST_LATENCY_METRIC, amortized);
         }
         results
@@ -357,11 +367,15 @@ impl EstimatorService {
     /// Returns one result per query, in order.
     fn walk_stages(
         &self,
-        queries: &[Query],
+        queries: Arc<[Query]>,
         deadline: Deadline,
     ) -> Vec<Result<Estimate, ServeError>> {
         let mut results: Vec<Option<Estimate>> = vec![None; queries.len()];
         let mut pending: Vec<usize> = (0..queries.len()).collect();
+        // The pending rows' queries, shared by every stage call until a
+        // stage answers some of them; only then is the fallthrough subset
+        // copied.
+        let mut sub = Arc::clone(&queries);
         let mut tried = 0usize;
         for (depth, stage) in self.stages.iter().enumerate() {
             if pending.is_empty() || deadline.expired() {
@@ -379,9 +393,10 @@ impl EstimatorService {
             tried += 1;
             let stages_left = (self.stages.len() - depth) as u32;
             let share = deadline.remaining() / stages_left;
-            let sub: Vec<Query> = pending.iter().map(|&i| queries[i].clone()).collect();
             let stage_started = Instant::now();
-            let outcome = Self::run_stage(stage, share, move |est| est.estimate_batch(&sub));
+            let rows = Arc::clone(&sub);
+            let outcome =
+                Self::run_stage(stage, share, deadline, move |est| est.estimate_batch(&rows));
             let amortized = stage_started.elapsed() / pending.len() as u32;
             for _ in &pending {
                 self.recorder.record(&stage.latency_metric, amortized);
@@ -421,6 +436,9 @@ impl EstimatorService {
                     } else {
                         stage.breaker.record_failure();
                     }
+                    if still.len() != pending.len() {
+                        sub = still.iter().map(|&i| queries[i].clone()).collect();
+                    }
                     pending = still;
                 }
                 lost => Self::record_lost_call(stage, lost, pending.len() as u64),
@@ -458,7 +476,9 @@ impl EstimatorService {
     }
 
     /// One stage call (singleton or batched), panic-isolated and bounded
-    /// by `share`. A bounded call runs on a reused runner thread of the
+    /// by `share`, counted from when a runner starts it, and by
+    /// `deadline` in all (waiting for the runner counts only against the
+    /// request). A bounded call runs on a reused runner thread of the
     /// process-wide [`runner`] pool; on timeout the runner is abandoned —
     /// the call finishes (or panics) in the background and its result is
     /// discarded. The breaker is what keeps a chronically slow stage from
@@ -466,7 +486,12 @@ impl EstimatorService {
     /// stops being invoked at all. A batched call shares one runner and
     /// one timeout, so a stage that stalls mid-batch is abandoned
     /// wholesale and every pending row falls through.
-    fn run_stage<T, F>(stage: &StageSlot, share: Duration, call: F) -> RunOutcome<T>
+    fn run_stage<T, F>(
+        stage: &StageSlot,
+        share: Duration,
+        deadline: Deadline,
+        call: F,
+    ) -> RunOutcome<T>
     where
         T: Send + 'static,
         F: FnOnce(&SharedEstimator) -> T + Send + 'static,
@@ -482,7 +507,7 @@ impl EstimatorService {
             return RunOutcome::Timeout;
         }
         let est = SharedEstimator::clone(&stage.est);
-        runner::global().run(share, move || call(&est))
+        runner::global().run(share, deadline.remaining(), move || call(&est))
     }
 
     /// Account a stage call that produced no rows — timed out, panicked,

@@ -308,3 +308,110 @@ fn deadline_expiring_mid_batch_fails_only_the_unanswered_rows() {
     assert_eq!(stats.deadline_exceeded, 2);
     assert_eq!(stats.batched_requests, 4);
 }
+
+/// The singleton and the batch run one prediction routine: for GB under
+/// every QFT, and for an MLP, `try_estimate` must be bit-equal to a
+/// one-row `estimate_batch` — value bits and provenance, or error kind.
+#[test]
+fn try_estimate_is_bit_equal_to_a_one_row_batch_for_every_qft_and_mlp() {
+    use qfe::core::featurize::{
+        Featurizer, LimitedDisjunctionEncoding, RangePredicateEncoding, SingularPredicateEncoding,
+    };
+    use qfe::ml::gbdt::{Gbdt, GbdtConfig};
+    use qfe::ml::mlp::{Mlp, MlpConfig};
+    use qfe::ml::train::Regressor;
+
+    type Qft = Box<dyn Featurizer + Send + Sync>;
+    type Model = Box<dyn Regressor + Send + Sync>;
+    let conj = || -> Qft {
+        Box::new(
+            UniversalConjunctionEncoding::new(space(), 8)
+                .expect("valid featurizer config")
+                .with_attr_sel(true),
+        )
+    };
+    let gb = || -> Model {
+        Box::new(Gbdt::new(GbdtConfig {
+            n_trees: 20,
+            min_samples_leaf: 2,
+            ..GbdtConfig::default()
+        }))
+    };
+    let combos: Vec<(Qft, Model)> = vec![
+        (Box::new(SingularPredicateEncoding::new(space())), gb()),
+        (Box::new(RangePredicateEncoding::new(space())), gb()),
+        (conj(), gb()),
+        (
+            Box::new(
+                LimitedDisjunctionEncoding::new(space(), 8)
+                    .expect("valid featurizer config")
+                    .with_attr_sel(true),
+            ),
+            gb(),
+        ),
+        (
+            conj(),
+            Box::new(Mlp::new(MlpConfig {
+                hidden: vec![8],
+                epochs: 20,
+                batch_size: 16,
+                learning_rate: 1e-2,
+                seed: 3,
+            })),
+        ),
+    ];
+    let range = |col: usize, lo: i64, hi: i64| {
+        CompoundPredicate::conjunction(
+            ColumnRef::new(TableId(0), ColumnId(col)),
+            vec![
+                SimplePredicate::new(CmpOp::Ge, lo),
+                SimplePredicate::new(CmpOp::Le, hi),
+            ],
+        )
+    };
+    let queries: Vec<Query> = (0..80)
+        .map(|i| le_query(i % 2, (i * 7 % 20) as i64))
+        .collect();
+    let cardinalities: Vec<f64> = (0..80)
+        .map(|i| ((i * 7 % 20) + 1) as f64 * 25.0 + (i % 2) as f64 * 40.0)
+        .collect();
+    let probes = vec![
+        le_query(0, 7),
+        le_query(1, 0),
+        le_query(1, 9),
+        Query::single_table(TableId(0), vec![range(0, 3, 12)]),
+        Query::single_table(TableId(0), vec![range(0, 5, 5), range(1, 2, 8)]),
+        or_query(),
+    ];
+    for (qft, model) in combos {
+        let mut est = LearnedEstimator::new(qft, model);
+        est.fit(&LabeledQueries {
+            queries: queries.clone(),
+            cardinalities: cardinalities.clone(),
+        })
+        .expect("every QFT featurizes single-predicate queries");
+        let mut answered = 0;
+        for q in &probes {
+            let solo = est.try_estimate(q);
+            let batched = est
+                .estimate_batch(std::slice::from_ref(q))
+                .pop()
+                .expect("one row in, one row out");
+            match (&solo, &batched) {
+                (Ok(s), Ok(b)) => {
+                    answered += 1;
+                    assert_eq!(s.value.to_bits(), b.value.to_bits(), "{}", est.name());
+                    assert_eq!(s, b, "{}", est.name());
+                    assert_eq!(est.estimate(q).to_bits(), s.value.to_bits());
+                }
+                (Err(s), Err(b)) => assert_eq!(s.kind(), b.kind(), "{}", est.name()),
+                _ => panic!("{}: solo {solo:?} vs batch {batched:?}", est.name()),
+            }
+        }
+        assert!(
+            answered >= 3,
+            "{}: only {answered} probes answered",
+            est.name()
+        );
+    }
+}

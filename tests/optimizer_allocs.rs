@@ -8,6 +8,10 @@
 //!   restriction bits and DP table. No allocation may scale with the
 //!   number of sub-plans probed.
 //! * An `EstimateCache::probe` hit allocates nothing.
+//! * A miss asks a learned model, whose warm singleton estimate reuses
+//!   per-thread feature buffers: GB × conjunctive allocates only its
+//!   output `Vec` and one encoder buffer, plus the answer's name
+//!   (`try_estimate`) and the result `Vec` (a one-row batch).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,4 +133,54 @@ fn cache_hits_allocate_nothing() {
     let (hit, allocs) = count_allocations(|| cache.probe(fp));
     assert_eq!(hit, Probe::Hit(42.0));
     assert_eq!(allocs, 0, "a cache hit allocated");
+}
+
+#[test]
+fn learned_singleton_estimates_reuse_their_feature_buffers() {
+    use qfe::core::featurize::{AttributeSpace, UniversalConjunctionEncoding};
+    use qfe::core::AttributeDomain;
+    use qfe::estimators::labels::LabeledQueries;
+    use qfe::estimators::LearnedEstimator;
+    use qfe::ml::gbdt::{Gbdt, GbdtConfig};
+
+    let le = |c: usize, v: i64| {
+        Query::single_table(
+            TableId(0),
+            vec![CompoundPredicate::conjunction(
+                col(0, c),
+                vec![SimplePredicate::new(CmpOp::Le, v)],
+            )],
+        )
+    };
+    let space = AttributeSpace::new(vec![
+        (col(0, 0), AttributeDomain::integers(0, 19)),
+        (col(0, 1), AttributeDomain::integers(0, 9)),
+    ]);
+    let mut est = LearnedEstimator::new(
+        Box::new(UniversalConjunctionEncoding::new(space, 8).expect("valid config")),
+        Box::new(Gbdt::new(GbdtConfig {
+            n_trees: 20,
+            min_samples_leaf: 2,
+            ..GbdtConfig::default()
+        })),
+    );
+    est.fit(&LabeledQueries {
+        queries: (0..80).map(|i| le(i % 2, (i * 7 % 20) as i64)).collect(),
+        cardinalities: (0..80).map(|i| ((i * 7 % 20) + 1) as f64 * 25.0).collect(),
+    })
+    .expect("conjunctive training set");
+    let q = le(0, 7);
+    let one = std::slice::from_ref(&q);
+    // Warm this thread's buffers.
+    let _ = (
+        est.try_estimate(&q),
+        est.estimate(&q),
+        est.estimate_batch(one),
+    );
+    let (_, estimate) = count_allocations(|| est.estimate(&q));
+    let (_, try_estimate) = count_allocations(|| est.try_estimate(&q));
+    let (_, batch) = count_allocations(|| est.estimate_batch(one));
+    assert!(estimate <= 2, "estimate() made {estimate} allocations");
+    assert!(try_estimate <= 3, "try_estimate() made {try_estimate}");
+    assert!(batch <= 4, "a one-row estimate_batch made {batch}");
 }
